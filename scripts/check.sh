@@ -43,6 +43,11 @@
 #           chaos on), plus the scale bench at OSPREY_BENCH_SMOKE=1
 #           checking results/BENCH_scale_workflow.json is emitted.
 #           See DESIGN.md §"Sharded fabric".
+#   flake   flake gate: thread sanitizer build of the concurrency
+#           suites, then `ctest --repeat until-fail:20` over the
+#           chaos/shard/wal/compute labels while a CPU burner keeps
+#           every core busy, so interleavings a quiet machine never
+#           produces get 20 chances to fail.
 #
 # Usage: scripts/check.sh [--skip-tsan] [stage ...]
 #   No stage arguments = run all stages in order. Naming stages runs
@@ -53,13 +58,13 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-ALL_STAGES=(lint tidy tsa tier1 obs bench asan ubsan tsan chaos recovery serve shard)
+ALL_STAGES=(lint tidy tsa tier1 obs bench asan ubsan tsan chaos recovery serve shard flake)
 declare -A WANTED=()
 SKIP_TSAN=0
 for arg in "$@"; do
   case "$arg" in
     --skip-tsan) SKIP_TSAN=1 ;;
-    lint|tidy|tsa|tier1|obs|bench|asan|ubsan|tsan|chaos|recovery|serve|shard) WANTED[$arg]=1 ;;
+    lint|tidy|tsa|tier1|obs|bench|asan|ubsan|tsan|chaos|recovery|serve|shard|flake) WANTED[$arg]=1 ;;
     *) echo "unknown argument: $arg" >&2
        echo "usage: scripts/check.sh [--skip-tsan] [stage ...]" >&2
        echo "stages: ${ALL_STAGES[*]}" >&2
@@ -162,9 +167,9 @@ stage_tsan() {
   cmake -B build-tsan -S . -DOSPREY_SANITIZE=thread >/dev/null &&
   cmake --build build-tsan -j "$JOBS" \
       --target test_util_concurrency test_emews_pool \
-               test_emews_taskdb_stress &&
+               test_emews_taskdb_stress test_fabric_compute &&
   (cd build-tsan && ctest --output-on-failure \
-      -R 'test_util_concurrency|test_emews_pool|test_emews_taskdb_stress')
+      -R 'test_util_concurrency|test_emews_pool|test_emews_taskdb_stress|test_fabric_compute')
 }
 
 stage_chaos() {
@@ -186,7 +191,7 @@ stage_recovery() {
   fi
   cmake -B build-tsan -S . -DOSPREY_SANITIZE=thread >/dev/null &&
   cmake --build build-tsan -j "$JOBS" \
-      --target test_aero_wal test_aero_recovery &&
+      --target test_aero_wal test_aero_recovery test_shard_fabric &&
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" -L wal)
 }
 
@@ -216,6 +221,29 @@ stage_shard() {
   echo "bench artifact: results/BENCH_scale_workflow.json"
 }
 
+stage_flake() {
+  if [[ "$SKIP_TSAN" == "1" ]]; then
+    echo "skipped (--skip-tsan)"
+    return 99
+  fi
+  cmake -B build-tsan -S . -DOSPREY_SANITIZE=thread >/dev/null &&
+  cmake --build build-tsan -j "$JOBS" \
+      --target test_chaos_fabric test_shard_fabric test_shard_replay \
+               test_aero_wal test_aero_recovery test_fabric_compute ||
+      return 1
+  local burners=() status i
+  for ((i = 0; i < JOBS; ++i)); do
+    (while :; do :; done) &
+    burners+=("$!")
+  done
+  (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
+      --repeat until-fail:20 -L 'chaos|shard|wal|compute')
+  status=$?
+  kill "${burners[@]}" 2>/dev/null
+  wait "${burners[@]}" 2>/dev/null
+  return $status
+}
+
 run_stage lint  stage_lint
 [[ $FAILED -eq 0 ]] && run_stage tidy  stage_tidy
 [[ $FAILED -eq 0 ]] && run_stage tsa   stage_tsa
@@ -229,6 +257,7 @@ run_stage lint  stage_lint
 [[ $FAILED -eq 0 ]] && run_stage recovery stage_recovery
 [[ $FAILED -eq 0 ]] && run_stage serve stage_serve
 [[ $FAILED -eq 0 ]] && run_stage shard stage_shard
+[[ $FAILED -eq 0 ]] && run_stage flake stage_flake
 
 echo
 echo "== summary =="

@@ -7,7 +7,7 @@
 #
 # Usage: scripts/ci.sh [fast|full]   (default: full)
 #   fast  lint + tidy + tsa + tier1 + obs + bench smoke (no sanitizers)
-#   full  everything
+#   full  everything, ending with the flake gate
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -22,6 +22,8 @@ scripts/check.sh tier1 obs bench
 if [[ "$MODE" == "full" ]]; then
   echo "=== ci: sanitizer stages ==="
   scripts/check.sh asan ubsan tsan chaos recovery serve shard
+  echo "=== ci: flake gate (repeat under CPU contention) ==="
+  scripts/check.sh flake
 fi
 
 echo "=== ci: done ==="

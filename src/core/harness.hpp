@@ -13,6 +13,7 @@
 /// semantics (which-language-ran-what) that the SDE use case
 /// demonstrates. See DESIGN.md "Substitutions".
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -46,7 +47,9 @@ class HarnessRegistry {
 
   bool has(const std::string& name) const;
 
-  /// Invoke a harness; counts the invocation for provenance.
+  /// Invoke a harness; counts the invocation for provenance. Safe to
+  /// call concurrently (compute bodies run off the event loop) once
+  /// every harness is registered.
   osprey::util::Value invoke(const std::string& name,
                              const osprey::util::Value& args);
 
@@ -55,14 +58,15 @@ class HarnessRegistry {
   /// must outlive the returned callable.
   HarnessFn as_compute_fn(const std::string& name);
 
-  const HarnessInfo& info(const std::string& name) const;
+  HarnessInfo info(const std::string& name) const;
   std::vector<HarnessInfo> list() const;
   std::uint64_t invocations_by(Language language) const;
 
  private:
   struct Entry {
-    HarnessInfo info;
+    HarnessInfo info;  // invocations is filled from `calls` on read
     HarnessFn fn;
+    std::atomic<std::uint64_t> calls{0};
   };
   std::map<std::string, Entry> entries_;
 };

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 
+#include "fabric/compute.hpp"
 #include "num/rng.hpp"
 #include "num/stats.hpp"
 #include "rt/ensemble.hpp"
@@ -122,13 +123,24 @@ void WastewaterUseCase::register_harnesses() {
   // the per-plant chain seed and shared across invocations — the first
   // fit for a plant is a cold full refit that seeds the state, and
   // every later per-sample trigger resumes from it with a capped
-  // iteration budget (bounded time-to-fresh-R(t)).
+  // iteration budget (bounded time-to-fresh-R(t)). The harness runs as
+  // a batch compute body, off the event loop and concurrently with the
+  // other plants' refits: the registry mutex guards only the map, and
+  // each plant's chain is touched by one job at a time because AERO
+  // keeps at most one run per flow in flight. Trace and metric effects
+  // are deferred to the task's join so they land in event order.
   rt::GoldsteinConfig gconf = config_.goldstein;
   int aggregate_draws = config_.aggregate_draws;
   const bool online = config_.online_updates;
   struct ChainRegistry {
     osprey::util::Mutex mutex;
-    std::map<std::uint64_t, rt::GoldsteinChainState> states;
+    std::map<std::uint64_t, rt::GoldsteinChainState> states
+        OSPREY_GUARDED_BY(mutex);
+
+    rt::GoldsteinChainState& chain(std::uint64_t seed) {
+      osprey::util::MutexLock lock(mutex);
+      return states[seed];  // std::map references stay valid
+    }
   };
   auto registry = std::make_shared<ChainRegistry>();
   harnesses_.add(
@@ -136,6 +148,8 @@ void WastewaterUseCase::register_harnesses() {
       "semiparametric Bayesian R(t) estimation from wastewater (Goldstein)",
       [this, gconf, aggregate_draws, online,
        registry](const Value& args) -> Value {
+        fabric::TaskContext* task = fabric::TaskContext::current();
+        OSPREY_REQUIRE(task != nullptr, "rt-estimate runs as a compute task");
         std::vector<epi::WwSample> samples =
             parse_samples(args.at("csv").as_string());
         OSPREY_REQUIRE(samples.size() >= 4, "not enough samples yet");
@@ -145,13 +159,8 @@ void WastewaterUseCase::register_harnesses() {
         conf.seed = static_cast<std::uint64_t>(args.at("seed").as_int());
         rt::GoldsteinEstimator estimator(conf);
 
-        osprey::util::MutexLock lock(registry->mutex);
-        rt::GoldsteinChainState& state = registry->states[conf.seed];
+        rt::GoldsteinChainState& state = registry->chain(conf.seed);
         const bool warm = online && state.valid() && days >= state.days;
-        obs::SpanId span = platform_.tracer().begin_span(
-            obs::Category::kCompute,
-            warm ? "rt:refit-warm" : "rt:refit-full",
-            obs::sim_ns(platform_.loop().now()));
         rt::RtPosterior posterior;
         if (warm) {
           // Each warm update draws its chain seed from the plant's
@@ -165,21 +174,30 @@ void WastewaterUseCase::register_harnesses() {
         } else {
           posterior = estimator.estimate(samples, days, conf.seed, &state);
         }
-        platform_.tracer().end_span(span,
-                                    obs::sim_ns(platform_.loop().now()),
-                                    true, std::to_string(days) + " days");
-        platform_.metrics()
-            .counter(warm ? "rt_refit_warm_total" : "rt_refit_full_total",
-                     "R(t) refits by chain mode")
-            .inc();
-        platform_.metrics()
-            .gauge("rt_acceptance_rate_burnin",
-                   "last refit's burn-in phase acceptance rate")
-            .set(posterior.acceptance_rate_burnin);
-        platform_.metrics()
-            .gauge("rt_acceptance_rate_sampling",
-                   "last refit's sampling phase acceptance rate")
-            .set(posterior.acceptance_rate_sampling);
+        task->defer([this, warm, days, start = task->start(),
+                     parent = task->span(),
+                     burnin = posterior.acceptance_rate_burnin,
+                     sampling = posterior.acceptance_rate_sampling] {
+          obs::TraceRecorder& tracer = platform_.tracer();
+          tracer.end_span(
+              tracer.begin_span(obs::Category::kCompute,
+                                warm ? "rt:refit-warm" : "rt:refit-full",
+                                obs::sim_ns(start), parent),
+              obs::sim_ns(start), true, std::to_string(days) + " days");
+          obs::MetricsRegistry& metrics = platform_.metrics();
+          metrics
+              .counter(warm ? "rt_refit_warm_total" : "rt_refit_full_total",
+                       "R(t) refits by chain mode")
+              .inc();
+          metrics
+              .gauge("rt_acceptance_rate_burnin",
+                     "last refit's burn-in phase acceptance rate")
+              .set(burnin);
+          metrics
+              .gauge("rt_acceptance_rate_sampling",
+                     "last refit's sampling phase acceptance rate")
+              .set(sampling);
+        });
 
         CsvTable meta({"mode", "lineage_updates", "state_days",
                        "acceptance", "acceptance_burnin",

@@ -38,7 +38,7 @@ void InterleavedDriver::run() {
     }
     if (!any_progress && n_finished < algorithms_.size()) {
       ++blocked_waits_;
-      db_->wait_for_more_finished(seen);
+      db_->wait_until_finished(seen + 1);
     }
   }
 }
@@ -56,7 +56,7 @@ void SequentialDriver::run() {
       std::uint64_t seen = db_->finished_count();
       PollResult r = algo->poll();
       if (r == PollResult::kFinished) break;
-      if (r == PollResult::kBlocked) db_->wait_for_more_finished(seen);
+      if (r == PollResult::kBlocked) db_->wait_until_finished(seen + 1);
     }
   }
 }

@@ -214,11 +214,12 @@ std::uint64_t TaskDb::finished_count() const {
   return finished_;
 }
 
-void TaskDb::wait_for_more_finished(std::uint64_t seen) const {
+std::uint64_t TaskDb::wait_until_finished(std::uint64_t n) const {
   MutexLock lock(mutex_);
-  while (finished_ <= seen && !closed_) {
+  while (finished_ < n && !closed_) {
     done_cv_.wait(lock);
   }
+  return finished_;
 }
 
 std::size_t TaskDb::queued_count(const std::string& type) const {

@@ -115,8 +115,11 @@ class TaskDb {
   /// Total finished tasks (complete + failed + cancelled); used by
   /// cooperative pollers to sleep until something new finishes.
   std::uint64_t finished_count() const;
-  /// Block until finished_count() > `seen` or the database is closed.
-  void wait_for_more_finished(std::uint64_t seen) const;
+  /// Block until at least `n` tasks have finished or the database is
+  /// closed; returns finished_count() at that moment. The target is an
+  /// absolute count, so a completion racing the caller's last read can
+  /// only make the wait shorter, never strand it.
+  std::uint64_t wait_until_finished(std::uint64_t n) const;
 
   std::size_t queued_count(const std::string& type) const;
   std::size_t total_submitted() const;

@@ -1,9 +1,11 @@
 #include "fabric/compute.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace osprey::fabric {
 
@@ -120,7 +122,9 @@ ComputeTaskId ComputeEndpoint::execute(const std::string& function_id,
     return id;
   }
 
-  PendingTask task{id, &it->second, std::move(args), std::move(on_done)};
+  auto task = std::make_shared<Task>(
+      Task{id, &it->second, std::move(args), std::move(on_done),
+           TaskContext(-1, records_[id].trace_span), Value(), true, {}});
   if (kind_ == EndpointKind::kLoginNode) {
     run_on_login_node(std::move(task));
   } else {
@@ -136,15 +140,67 @@ void ComputeEndpoint::set_batch_walltime(SimTime walltime) {
   batch_walltime_ = walltime;
 }
 
-SimTime ComputeEndpoint::execute_body(PendingTask& task, SimTime limit) {
-  ComputeTaskRecord& rec = records_[task.id];
+namespace {
+
+thread_local TaskContext* t_context = nullptr;
+
+/// Installs a body's TaskContext on the calling thread for a scope.
+class ContextScope {
+ public:
+  explicit ContextScope(TaskContext* context) : outer_(t_context) {
+    t_context = context;
+  }
+  ~ContextScope() { t_context = outer_; }
+  ContextScope(const ContextScope&) = delete;
+  ContextScope& operator=(const ContextScope&) = delete;
+
+ private:
+  TaskContext* outer_;
+};
+
+}  // namespace
+
+TaskContext* TaskContext::current() { return t_context; }
+
+void ComputeEndpoint::Task::run_body() {
+  ContextScope context_scope(&context);
+  EventLoop::BodyScope in_body;
+  try {
+    result = fn->fn(args);
+    failed = false;
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+}
+
+void ComputeEndpoint::join(std::future<void>& done) {
+  osprey::util::ThreadPool& pool = osprey::util::global_pool();
+  while (done.wait_for(std::chrono::seconds(0)) !=
+         std::future_status::ready) {
+    if (!pool.try_run_one()) {
+      done.wait();
+      break;
+    }
+  }
+  done.get();  // rethrows what the body let escape
+}
+
+ComputeEndpoint::~ComputeEndpoint() {
+  for (auto& [id, done] : running_) {
+    (void)id;
+    done.wait();
+  }
+}
+
+SimTime ComputeEndpoint::start_task(const TaskPtr& task, SimTime limit) {
+  ComputeTaskRecord& rec = records_[task->id];
   rec.started = loop_.now();
   rec.status = ComputeTaskStatus::kRunning;
   SimTime duration = 0;   // raw declared cost (returned to the scheduler)
   SimTime occupy = 0;     // virtual time until the task record completes
-  Value result;
+  bool runs = false;      // false: the task fails with task->error, no body
   try {
-    duration = task.fn->cost(task.args);
+    duration = task->fn->cost(task->args);
     OSPREY_CHECK(duration >= 0, "negative declared cost");
     occupy = duration;
     if (limit >= 0 && duration > limit) {
@@ -152,13 +208,10 @@ SimTime ComputeEndpoint::execute_body(PendingTask& task, SimTime limit) {
       // never materialize, and the caller learns of the failure at the
       // kill time. The raw duration is still returned so the scheduler
       // records the job as TIMEOUT.
-      rec.status = ComputeTaskStatus::kFailed;
-      rec.error = "walltime exceeded (" +
-                  osprey::util::format_duration(duration) + " > " +
-                  osprey::util::format_duration(limit) + ")";
-      result = Value(nullptr);
+      task->error = "walltime exceeded (" +
+                    osprey::util::format_duration(duration) + " > " +
+                    osprey::util::format_duration(limit) + ")";
       occupy = limit;
-      OSPREY_LOG_WARN("compute", rec.function_name << " " << rec.error);
     } else if (plan_ != nullptr &&
                plan_->should_inject(FaultKind::kComputeKill, "compute",
                                     name_, loop_.now())) {
@@ -169,48 +222,65 @@ SimTime ComputeEndpoint::execute_body(PendingTask& task, SimTime limit) {
       occupy = std::max<SimTime>(1, occupy / 2);
       if (limit >= 0) occupy = std::min(occupy, limit);
       duration = occupy;
-      rec.status = ComputeTaskStatus::kFailed;
-      rec.error = "task killed (injected) after " +
-                  osprey::util::format_duration(occupy);
-      result = Value(nullptr);
-      OSPREY_LOG_WARN("compute", rec.function_name << " " << rec.error);
+      task->error = "task killed (injected) after " +
+                    osprey::util::format_duration(occupy);
     } else {
-      result = task.fn->fn(task.args);
-      rec.status = ComputeTaskStatus::kSucceeded;
+      runs = true;
+    }
+    if (!runs) {
+      OSPREY_LOG_WARN("compute", rec.function_name << " " << task->error);
     }
   } catch (const std::exception& e) {
-    rec.status = ComputeTaskStatus::kFailed;
-    rec.error = e.what();
-    result = Value(nullptr);
-    OSPREY_LOG_WARN("compute", rec.function_name << " failed: " << e.what());
+    task->error = e.what();
+    OSPREY_LOG_WARN("compute",
+                    rec.function_name << " failed: " << task->error);
   }
-  // Completion (and the caller's callback) land `duration` later in
-  // virtual time, even though the C++ body already ran. The execute_body
-  // result above already respects the limit, so rec and the scheduler's
-  // job state agree on kills.
-  Callback cb = std::move(task.on_done);
-  ComputeTaskId id = task.id;
-  loop_.schedule_after(occupy,
-                       [this, id, cb = std::move(cb),
-                        result = std::move(result)] {
-                         ComputeTaskRecord& r = records_[id];
-                         r.completed = loop_.now();
-                         finish_obs(r);
-                         if (cb) cb(result, r);
-                       });
+
+  // The body starts now and is joined at completion, `occupy` later in
+  // virtual time. Batch bodies run on the pool in between; everything
+  // observable (record, span, metrics, callback) happens at the join.
+  if (runs) {
+    task->context.start_ = rec.started;
+    if (kind_ == EndpointKind::kBatch) {
+      running_.emplace(task->id, osprey::util::global_pool().submit(
+                                     [task] { task->run_body(); }));
+    } else {
+      task->run_body();
+    }
+  }
+  loop_.schedule_after(occupy, [this, task, runs] {
+    auto running = running_.find(task->id);
+    if (running != running_.end()) {
+      join(running->second);
+      running_.erase(running);
+    }
+    for (auto& effect : task->context.deferred_) effect();
+    ComputeTaskRecord& r = records_[task->id];
+    r.status = task->failed ? ComputeTaskStatus::kFailed
+                            : ComputeTaskStatus::kSucceeded;
+    r.error = task->error;
+    if (runs && task->failed) {
+      OSPREY_LOG_WARN("compute", r.function_name << " failed: " << r.error);
+    }
+    r.completed = loop_.now();
+    finish_obs(r);
+    if (task->on_done) {
+      task->on_done(task->failed ? Value(nullptr) : std::move(task->result),
+                    r);
+    }
+  });
   return duration;
 }
 
-void ComputeEndpoint::run_on_login_node(PendingTask task) {
+void ComputeEndpoint::run_on_login_node(TaskPtr task) {
   if (busy_slots_ >= slots_) {
     login_queue_.push_back(std::move(task));
     return;
   }
   ++busy_slots_;
   // Run on the next tick to keep submission re-entrancy simple.
-  auto shared = std::make_shared<PendingTask>(std::move(task));
-  loop_.schedule_after(0, [this, shared] {
-    SimTime duration = execute_body(*shared);
+  loop_.schedule_after(0, [this, task = std::move(task)] {
+    SimTime duration = start_task(task);
     loop_.schedule_after(duration, [this] {
       --busy_slots_;
       drain_login_queue();
@@ -220,11 +290,10 @@ void ComputeEndpoint::run_on_login_node(PendingTask task) {
 
 void ComputeEndpoint::drain_login_queue() {
   while (busy_slots_ < slots_ && !login_queue_.empty()) {
-    PendingTask task = std::move(login_queue_.front());
+    TaskPtr task = std::move(login_queue_.front());
     login_queue_.pop_front();
     ++busy_slots_;
-    auto shared = std::make_shared<PendingTask>(std::move(task));
-    SimTime duration = execute_body(*shared);
+    SimTime duration = start_task(task);
     loop_.schedule_after(duration, [this] {
       --busy_slots_;
       drain_login_queue();
@@ -232,15 +301,14 @@ void ComputeEndpoint::drain_login_queue() {
   }
 }
 
-void ComputeEndpoint::run_via_scheduler(PendingTask task) {
-  auto shared = std::make_shared<PendingTask>(std::move(task));
+void ComputeEndpoint::run_via_scheduler(TaskPtr task) {
   JobSpec spec;
-  spec.name = "gc:" + shared->fn->name;
+  spec.name = "gc:" + task->fn->name;
   spec.nodes = 1;
   spec.walltime = batch_walltime_;
   SimTime limit = batch_walltime_;
-  spec.run = [this, shared, limit]() -> SimTime {
-    return execute_body(*shared, limit);
+  spec.run = [this, task = std::move(task), limit]() -> SimTime {
+    return start_task(task, limit);
   };
   scheduler_->submit(std::move(spec));
 }

@@ -12,13 +12,23 @@
 ///    BatchScheduler (the paper's GlobusComputeEngine on Bebop), so
 ///    expensive tasks pay queue wait before running.
 ///
-/// Functions execute real C++ inline; their *virtual* duration is the
-/// registered cost (possibly input-dependent).
+/// Functions execute real C++; their *virtual* duration is the
+/// registered cost (possibly input-dependent). A task's body starts at
+/// the task's simulated start and is joined at its completion event:
+/// batch bodies run on util::global_pool() in between, so the jobs of
+/// one scheduler overlap in real time as they do in simulated time;
+/// login-node bodies (sub-minute transforms and stubs, where a thread
+/// hand-off would cost more than the body) run inline at the start.
+/// Everything observable happens on the loop thread at those two
+/// points, so sim timings, event order and artifacts do not depend on
+/// where or when a body ran. See TaskContext for what a body may touch.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,6 +68,38 @@ struct ComputeTaskRecord {
 
 enum class EndpointKind { kLoginNode, kBatch };
 
+/// Everything a running compute body may see besides its arguments.
+/// The endpoint installs it thread-locally around the body. Bodies must
+/// not touch the EventLoop (EventLoop::BodyScope makes that throw) or
+/// record traces/metrics directly: they defer such effects, which then
+/// run on the loop thread at the task's join, in event order.
+class TaskContext {
+ public:
+  /// The context of the body running on this thread; nullptr outside
+  /// a body.
+  static TaskContext* current();
+
+  /// Simulated time the task started (the body's "now").
+  SimTime start() const { return start_; }
+  /// The task's compute: span (kNoSpan when untraced): the parent for
+  /// spans the body records.
+  obs::SpanId span() const { return span_; }
+  /// Queue `effect` to run on the loop thread at the task's join,
+  /// after the body returned (or threw) and before the completion
+  /// callback. Effects run in the order deferred.
+  void defer(std::function<void()> effect) {
+    deferred_.push_back(std::move(effect));
+  }
+
+ private:
+  friend class ComputeEndpoint;
+  TaskContext(SimTime start, obs::SpanId span) : start_(start), span_(span) {}
+
+  SimTime start_;
+  obs::SpanId span_;
+  std::vector<std::function<void()>> deferred_;
+};
+
 /// A Globus-Compute-like endpoint bound to either login-node slots or a
 /// batch scheduler.
 class ComputeEndpoint {
@@ -68,6 +110,11 @@ class ComputeEndpoint {
   /// Batch endpoint: executions become one-node jobs on `scheduler`.
   ComputeEndpoint(std::string name, EventLoop& loop, AuthService& auth,
                   BatchScheduler& scheduler);
+  /// Waits for bodies still running off the loop.
+  ~ComputeEndpoint();
+
+  ComputeEndpoint(const ComputeEndpoint&) = delete;
+  ComputeEndpoint& operator=(const ComputeEndpoint&) = delete;
 
   const std::string& name() const { return name_; }
   EndpointKind kind() const { return kind_; }
@@ -122,21 +169,34 @@ class ComputeEndpoint {
     CostFn cost;
   };
 
-  struct PendingTask {
+  /// One submitted task, shared by the loop thread and, while its body
+  /// runs off the loop, the worker running it.
+  struct Task {
     ComputeTaskId id;
     const Registered* fn;
     Value args;
     Callback on_done;
-  };
+    TaskContext context;
+    Value result;
+    bool failed;  // the body threw, was killed, or has not returned
+    std::string error;
 
-  void run_on_login_node(PendingTask task);
-  void run_via_scheduler(PendingTask task);
+    void run_body();
+  };
+  using TaskPtr = std::shared_ptr<Task>;
+
+  void run_on_login_node(TaskPtr task);
+  void run_via_scheduler(TaskPtr task);
   void drain_login_queue();
-  /// Executes the function body, fills the record, schedules the callback
-  /// `duration` later. When `limit >= 0` and the declared cost exceeds
-  /// it, the body is NOT run: the task fails at the limit (walltime
-  /// kill). Returns the virtual duration the resources are occupied.
-  SimTime execute_body(PendingTask& task, SimTime limit = -1);
+  /// Starts the task at the current virtual time: decides its cost and
+  /// any kill, starts the body, and schedules the join at completion.
+  /// When `limit >= 0` and the declared cost exceeds it, the body is
+  /// NOT run: the task fails at the limit (walltime kill). Returns the
+  /// virtual duration the resources are occupied.
+  SimTime start_task(const TaskPtr& task, SimTime limit = -1);
+  /// Waits for a body running off the loop, running queued pool work
+  /// meanwhile.
+  static void join(std::future<void>& done);
 
   std::string name_;
   EventLoop& loop_;
@@ -150,7 +210,9 @@ class ComputeEndpoint {
   osprey::util::UuidFactory uuids_;
   std::map<std::string, Registered> functions_;  // id -> registration
   std::vector<ComputeTaskRecord> records_;
-  std::deque<PendingTask> login_queue_;
+  std::deque<TaskPtr> login_queue_;
+  // Bodies running off the loop, until their join.
+  std::map<ComputeTaskId, std::future<void>> running_;
   obs::TraceRecorder* tracer_ = nullptr;
   // Task counters always point at a live obs::Counter: the owned
   // fallbacks until set_metrics binds a registry, so completed_count()

@@ -4,7 +4,17 @@
 
 namespace osprey::fabric {
 
+EventLoop::BodyScope::BodyScope() : previous_(t_in_body) { t_in_body = true; }
+
+EventLoop::BodyScope::~BodyScope() { t_in_body = previous_; }
+
+void EventLoop::fail_in_body(const char* call) {
+  throw osprey::util::Error(std::string("EventLoop::") + call +
+                            " called from inside a compute body");
+}
+
 EventId EventLoop::schedule_at(SimTime t, Callback cb) {
+  check_not_in_body("schedule_at");
   OSPREY_REQUIRE(t >= now_, "cannot schedule an event in the past");
   OSPREY_REQUIRE(static_cast<bool>(cb), "null event callback");
   EventId id = next_seq_++;
@@ -14,11 +24,15 @@ EventId EventLoop::schedule_at(SimTime t, Callback cb) {
 }
 
 EventId EventLoop::schedule_after(SimTime dt, Callback cb) {
+  check_not_in_body("schedule_after");
   OSPREY_REQUIRE(dt >= 0, "negative delay");
   return schedule_at(now_ + dt, std::move(cb));
 }
 
-bool EventLoop::cancel(EventId id) { return callbacks_.erase(id) > 0; }
+bool EventLoop::cancel(EventId id) {
+  check_not_in_body("cancel");
+  return callbacks_.erase(id) > 0;
+}
 
 void EventLoop::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
@@ -51,6 +65,7 @@ bool EventLoop::fire_next() {
 }
 
 std::size_t EventLoop::run_until(SimTime t) {
+  check_not_in_body("run_until");
   OSPREY_REQUIRE(t >= now_, "run_until into the past");
   std::size_t fired = 0;
   while (!queue_.empty()) {
@@ -68,6 +83,7 @@ std::size_t EventLoop::run_until(SimTime t) {
 }
 
 std::size_t EventLoop::run_all(std::size_t max_events) {
+  check_not_in_body("run_all");
   std::size_t fired = 0;
   while (fired < max_events && fire_next()) {
     ++fired;

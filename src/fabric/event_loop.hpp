@@ -24,11 +24,32 @@ using EventId = std::uint64_t;
 
 /// Single-threaded priority-queue event loop over virtual time.
 /// Events at equal times fire in scheduling order (stable).
+///
+/// Compute bodies (ComputeEndpoint) never touch the loop: they may run
+/// on another thread, and whatever they read or schedule would depend
+/// on thread timing. While a body runs, its thread carries a BodyScope,
+/// and now/schedule_*/cancel/run_* throw util::Error instead of racing.
 class EventLoop {
  public:
   using Callback = std::function<void()>;
 
-  SimTime now() const { return now_; }
+  /// Marks the calling thread as running a compute body for its
+  /// lifetime (nests; restores the previous state).
+  class BodyScope {
+   public:
+    BodyScope();
+    ~BodyScope();
+    BodyScope(const BodyScope&) = delete;
+    BodyScope& operator=(const BodyScope&) = delete;
+
+   private:
+    bool previous_;
+  };
+
+  SimTime now() const {
+    check_not_in_body("now");
+    return now_;
+  }
 
   /// Schedule `cb` at absolute virtual time `t` (>= now).
   EventId schedule_at(SimTime t, Callback cb);
@@ -64,6 +85,12 @@ class EventLoop {
       return seq > other.seq;
     }
   };
+
+  static inline thread_local bool t_in_body = false;
+  static void check_not_in_body(const char* call) {
+    if (t_in_body) fail_in_body(call);
+  }
+  [[noreturn]] static void fail_in_body(const char* call);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -6,6 +6,11 @@
 
 namespace osprey::num {
 
+/// log|Gamma(x)|, safe to call from several threads: std::lgamma
+/// writes the global `signgam` on POSIX systems, so this uses the
+/// reentrant lgamma_r there (same values).
+double log_gamma(double x);
+
 /// Regularized lower incomplete gamma P(a, x) (series + continued
 /// fraction), accurate to ~1e-12.
 double gamma_p(double a, double x);

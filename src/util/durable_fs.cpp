@@ -16,21 +16,42 @@ namespace osprey::util {
 
 // --- MemFs -----------------------------------------------------------
 
+MemFs::MemFs(const MemFs& other)
+    : DurableFs(other), files_(other.copy_files()) {}
+
+MemFs& MemFs::operator=(const MemFs& other) {
+  if (this == &other) return *this;
+  std::map<std::string, std::string> files = other.copy_files();
+  DurableFs::operator=(other);
+  MutexLock lock(mutex_);
+  files_ = std::move(files);
+  return *this;
+}
+
+std::map<std::string, std::string> MemFs::copy_files() const {
+  MutexLock lock(mutex_);
+  return files_;
+}
+
 void MemFs::write(const std::string& path, const std::string& bytes) {
+  MutexLock lock(mutex_);
   files_[path] = bytes;
 }
 
 void MemFs::append(const std::string& path, const std::string& bytes) {
+  MutexLock lock(mutex_);
   files_[path] += bytes;
 }
 
 std::optional<std::string> MemFs::read(const std::string& path) const {
+  MutexLock lock(mutex_);
   auto it = files_.find(path);
   if (it == files_.end()) return std::nullopt;
   return it->second;
 }
 
 std::vector<std::string> MemFs::list(const std::string& prefix) const {
+  MutexLock lock(mutex_);
   std::vector<std::string> out;
   for (const auto& [path, bytes] : files_) {
     (void)bytes;
@@ -39,9 +60,13 @@ std::vector<std::string> MemFs::list(const std::string& prefix) const {
   return out;  // std::map keys are already sorted
 }
 
-void MemFs::remove(const std::string& path) { files_.erase(path); }
+void MemFs::remove(const std::string& path) {
+  MutexLock lock(mutex_);
+  files_.erase(path);
+}
 
 void MemFs::truncate_tail(const std::string& path, std::size_t n) {
+  MutexLock lock(mutex_);
   auto it = files_.find(path);
   if (it == files_.end()) return;
   std::string& bytes = it->second;
@@ -50,10 +75,16 @@ void MemFs::truncate_tail(const std::string& path, std::size_t n) {
 
 void MemFs::flip_byte(const std::string& path, std::size_t offset,
                       unsigned char mask) {
+  MutexLock lock(mutex_);
   auto it = files_.find(path);
   if (it == files_.end() || offset >= it->second.size()) return;
   it->second[offset] = static_cast<char>(
       static_cast<unsigned char>(it->second[offset]) ^ mask);
+}
+
+std::size_t MemFs::file_count() const {
+  MutexLock lock(mutex_);
+  return files_.size();
 }
 
 // --- RealFs ----------------------------------------------------------
@@ -80,7 +111,7 @@ void RealFs::write(const std::string& path, const std::string& bytes) {
   std::error_code ec;
   std::filesystem::rename(tmp, target, ec);
   if (ec) throw Error("atomic replace failed for " + target + ": " + ec.message());
-  dirty_.push_back(target);
+  mark_dirty(target);
 }
 
 void RealFs::append(const std::string& path, const std::string& bytes) {
@@ -97,7 +128,7 @@ void RealFs::append(const std::string& path, const std::string& bytes) {
   if (!out) throw Error("cannot open for append: " + p.string());
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) throw Error("append failed: " + p.string());
-  dirty_.push_back(p.string());
+  mark_dirty(p.string());
 }
 
 std::optional<std::string> RealFs::read(const std::string& path) const {
@@ -136,12 +167,22 @@ void RealFs::remove(const std::string& path) {
   std::filesystem::remove(full(path), ec);
 }
 
+void RealFs::mark_dirty(std::string full_path) {
+  MutexLock lock(mutex_);
+  dirty_.push_back(std::move(full_path));
+}
+
 void RealFs::sync() {
   ++syncs_;
+  std::vector<std::string> dirty;
+  {
+    MutexLock lock(mutex_);
+    dirty.swap(dirty_);
+  }
 #ifdef __unix__
-  std::sort(dirty_.begin(), dirty_.end());
-  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
-  for (const std::string& path : dirty_) {
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  for (const std::string& path : dirty) {
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd >= 0) {
       ::fsync(fd);
@@ -154,7 +195,6 @@ void RealFs::sync() {
     ::close(fd);
   }
 #endif
-  dirty_.clear();
 }
 
 }  // namespace osprey::util

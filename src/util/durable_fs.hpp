@@ -20,12 +20,20 @@
 /// Paths are forward-slash relative names ("aero-wal/wal-000000000000");
 /// list() returns them sorted so directory iteration order can never
 /// leak platform nondeterminism into recovery.
+///
+/// Every implementation is safe to share between threads: the sharded
+/// fabric hands one DurableFs to all of its shards, each writing its
+/// own directory.
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "util/annotations.hpp"
+#include "util/mutex.hpp"
 
 namespace osprey::util {
 
@@ -43,10 +51,19 @@ class DurableFs {
   virtual void remove(const std::string& path) = 0;
   virtual void sync() = 0;
 
-  std::uint64_t sync_count() const { return syncs_; }
+  std::uint64_t sync_count() const {
+    return syncs_.load(std::memory_order_relaxed);
+  }
 
  protected:
-  std::uint64_t syncs_ = 0;
+  DurableFs() = default;
+  DurableFs(const DurableFs& other) : syncs_(other.sync_count()) {}
+  DurableFs& operator=(const DurableFs& other) {
+    syncs_.store(other.sync_count(), std::memory_order_relaxed);
+    return *this;
+  }
+
+  std::atomic<std::uint64_t> syncs_{0};
 };
 
 /// In-memory implementation: the "disk" of the crash-replay harness.
@@ -54,6 +71,11 @@ class DurableFs {
 /// helpers so fuzz tests can tear and bit-flip recorded logs.
 class MemFs : public DurableFs {
  public:
+  MemFs() = default;
+  /// Copies are snapshots of the other disk (crash drills fork one).
+  MemFs(const MemFs& other);
+  MemFs& operator=(const MemFs& other);
+
   void write(const std::string& path, const std::string& bytes) override;
   void append(const std::string& path, const std::string& bytes) override;
   std::optional<std::string> read(const std::string& path) const override;
@@ -69,10 +91,13 @@ class MemFs : public DurableFs {
   void flip_byte(const std::string& path, std::size_t offset,
                  unsigned char mask = 0x01);
 
-  std::size_t file_count() const { return files_.size(); }
+  std::size_t file_count() const;
 
  private:
-  std::map<std::string, std::string> files_;
+  std::map<std::string, std::string> copy_files() const;
+
+  mutable Mutex mutex_;
+  std::map<std::string, std::string> files_ OSPREY_GUARDED_BY(mutex_);
 };
 
 /// On-disk implementation rooted at a directory; used by the benches so
@@ -94,8 +119,11 @@ class RealFs : public DurableFs {
 
  private:
   std::string full(const std::string& path) const;
+  void mark_dirty(std::string full_path);
   std::string root_;
-  std::vector<std::string> dirty_;  // full paths pending an fsync
+  Mutex mutex_;
+  // Full paths pending an fsync.
+  std::vector<std::string> dirty_ OSPREY_GUARDED_BY(mutex_);
 };
 
 }  // namespace osprey::util

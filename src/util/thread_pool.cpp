@@ -96,10 +96,12 @@ std::size_t parse_thread_count(const char* env, std::size_t fallback) {
 }
 
 ThreadPool& global_pool() {
+  // Every user also works on its calling thread (parallel_for, compute
+  // joins), so hardware_concurrency - 1 workers keep it within nproc.
   static ThreadPool pool(parse_thread_count(
       std::getenv("OSPREY_THREADS"),
       static_cast<std::size_t>(
-          std::max(1u, std::thread::hardware_concurrency()))));
+          std::max(2u, std::thread::hardware_concurrency()) - 1)));
   return pool;
 }
 

@@ -3,7 +3,8 @@
 /// \file thread_pool.hpp
 /// A plain fixed-size thread pool with future-returning submission.
 /// Used for genuinely parallel work (GP Monte-Carlo prediction, model
-/// replicate evaluation); the simulated fabric does NOT run on this pool.
+/// replicate evaluation, batch compute bodies); the simulated fabric's
+/// event loop does NOT run on this pool.
 
 #include <functional>
 #include <future>
@@ -65,12 +66,13 @@ class ThreadPool {
 /// clamped to 1 with a logged warning rather than silently misparsed.
 std::size_t parse_thread_count(const char* env, std::size_t fallback);
 
-/// Process-wide shared pool sized by the hardware concurrency (minimum
-/// 1; override with the OSPREY_THREADS environment variable, validated
-/// by parse_thread_count). Lives for the life of the process; intended
-/// for deterministic data-parallel kernels (GP batch prediction, MLE
-/// multistarts, per-plant MCMC fan-out) where spinning up a private
-/// pool per call would dominate.
+/// Process-wide shared pool of hardware_concurrency - 1 workers
+/// (minimum 1; override with the OSPREY_THREADS environment variable,
+/// validated by parse_thread_count): every user also works on its
+/// calling thread. Created at the first call and kept for the life of
+/// the process; intended for deterministic data-parallel kernels (GP
+/// batch prediction, MLE multistarts) and the bodies of batch compute
+/// jobs, where spinning up a private pool per call would dominate.
 ThreadPool& global_pool();
 
 }  // namespace osprey::util

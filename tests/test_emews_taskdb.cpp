@@ -108,7 +108,7 @@ TEST(TaskDb, CloseWakesClaimersAndCancelsQueued) {
   EXPECT_THROW(db.submit("q", Value()), ou::InvalidArgument);
 }
 
-TEST(TaskDb, WaitForMoreFinished) {
+TEST(TaskDb, WaitUntilFinished) {
   oe::TaskDb db;
   oe::TaskId id = db.submit("q", Value());
   std::thread completer([&] {
@@ -116,8 +116,10 @@ TEST(TaskDb, WaitForMoreFinished) {
     db.try_claim("q", "w");
     db.complete(id, Value());
   });
-  db.wait_for_more_finished(0);  // blocks until the completion above
-  EXPECT_EQ(db.finished_count(), 1u);
+  // Blocks until the completion above; an already-met target returns
+  // at once.
+  EXPECT_EQ(db.wait_until_finished(1), 1u);
+  EXPECT_EQ(db.wait_until_finished(0), 1u);
   completer.join();
 }
 

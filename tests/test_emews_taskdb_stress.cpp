@@ -78,19 +78,17 @@ TEST(TaskDbStress, ConcurrentClaimCompleteRequeue) {
   });
   // A monitor hammers the read-side API while everything runs.
   std::thread monitor([&db] {
-    while (db.finished_count() < kTasks) {
+    std::uint64_t seen = 0;
+    while (seen < kTasks && !db.closed()) {
       (void)db.queued_count("stress");
       (void)db.total_submitted();
-      std::uint64_t seen = db.finished_count();
-      db.wait_for_more_finished(seen);
+      seen = db.wait_until_finished(seen + 1);
     }
   });
 
   submitter.join();
   // Wait until every task has finished, then release the workers.
-  while (db.finished_count() < kTasks) {
-    db.wait_for_more_finished(db.finished_count());
-  }
+  EXPECT_EQ(db.wait_until_finished(kTasks), static_cast<std::uint64_t>(kTasks));
   db.close();
   monitor.join();
   for (auto& t : workers) t.join();

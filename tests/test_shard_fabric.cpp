@@ -260,13 +260,19 @@ TEST(ShardFabric, ChaosForksIndependentPerPartitionPlans) {
   EXPECT_NE(log.find("transfer-drop"), std::string::npos);
 }
 
-TEST(ShardFabric, PerPartitionWalDirectoriesAndRecovery) {
+namespace {
+
+/// Crash and recover a durable campaign whose partitions all write one
+/// shared MemFs, each under its own WAL directory.
+void per_partition_wal_round_trip(std::size_t shards) {
+  sh::ShardedFabricConfig config;
+  config.num_shards = shards;
   ou::MemFs fs;
   sh::CampaignSpec campaign = small_campaign(2, 28);
   std::string analysis_uuid_run1;
   std::string qualified;
   {
-    sh::ShardedFabric fabric;
+    sh::ShardedFabric fabric(config);
     fabric.register_campaign(campaign);
     auto summary = fabric.enable_durability(fs, "wal");
     EXPECT_EQ(summary.partitions, 3u);
@@ -283,7 +289,7 @@ TEST(ShardFabric, PerPartitionWalDirectoriesAndRecovery) {
   EXPECT_FALSE(fs.list("wal/iwss-feed1/").empty());
   EXPECT_FALSE(fs.list("wal/iwss-hub/").empty());
 
-  sh::ShardedFabric fabric2;
+  sh::ShardedFabric fabric2(config);
   fabric2.register_campaign(campaign);
   auto summary = fabric2.enable_durability(fs, "wal");
   EXPECT_EQ(summary.partitions, 3u);
@@ -303,6 +309,18 @@ TEST(ShardFabric, PerPartitionWalDirectoriesAndRecovery) {
   EXPECT_EQ(fabric2.partition("iwss-feed0").feeds()[0].analysis_uuid,
             analysis_uuid_run1);
   EXPECT_GT(fabric2.coordinator().rounds_dispatched("iwss"), 0u);
+}
+
+}  // namespace
+
+TEST(ShardFabric, PerPartitionWalDirectoriesAndRecovery) {
+  per_partition_wal_round_trip(1);
+}
+
+// Three shard threads append to the one MemFs at once (the shared
+// DurableFs must be thread-safe).
+TEST(ShardFabric, PerPartitionWalDirectoriesAndRecoveryOnThreeShards) {
+  per_partition_wal_round_trip(3);
 }
 
 TEST(ShardFabric, RejectsMalformedKeysAndUnknownPartitions) {
