@@ -20,6 +20,12 @@
 #           iterations (OSPREY_BENCH_SMOKE=1), checking that
 #           results/BENCH_fig2_rt.json is emitted and the warm-start
 #           online refit beats the cold full refit.
+#           Then the named benchmark's own checks: `perfbench/run.py
+#           --self-test` (every correctness check fires on a corrupted
+#           output) and one short traced `ww_rt` run, whose replays —
+#           the rt CSVs re-serialized by perfbench's frozen copy of the
+#           serializer, SHA-256 against the recorded checksums, WAL
+#           recovery — must reproduce the published bytes.
 #   asan    address+undefined sanitizer build, full ctest suite.
 #   ubsan   standalone undefined-behavior sanitizer build, full ctest
 #           suite (catches UB that ASan's instrumentation masks).
@@ -144,7 +150,9 @@ stage_bench() {
   cmake --build build -j "$JOBS" --target bench_fig2_rt &&
   OSPREY_BENCH_SMOKE=1 ./build/bench/bench_fig2_rt &&
   test -s results/BENCH_fig2_rt.json &&
-  echo "bench artifact: results/BENCH_fig2_rt.json"
+  echo "bench artifact: results/BENCH_fig2_rt.json" &&
+  python3 perfbench/run.py --self-test &&
+  python3 perfbench/run.py --workload ww_rt --seed 1 --seconds 2 --trace 1
 }
 
 stage_asan() {

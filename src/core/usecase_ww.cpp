@@ -17,6 +17,7 @@
 namespace osprey::core {
 
 using osprey::util::CsvTable;
+using osprey::util::CsvWriter;
 using osprey::util::Value;
 using osprey::util::ValueObject;
 
@@ -36,56 +37,52 @@ std::vector<epi::WwSample> parse_samples(const std::string& csv) {
 }
 
 std::string series_to_csv(const rt::RtSeries& series) {
-  CsvTable table({"day", "median", "lo95", "hi95"});
+  CsvWriter out;
+  out.row({"day", "median", "lo95", "hi95"});
   for (std::size_t t = 0; t < series.days(); ++t) {
-    table.add_row({std::to_string(t),
-                   osprey::util::format("%.6f", series.median[t]),
-                   osprey::util::format("%.6f", series.lo95[t]),
-                   osprey::util::format("%.6f", series.hi95[t])});
+    out.field(t)
+        .field(series.median[t], 6)
+        .field(series.lo95[t], 6)
+        .field(series.hi95[t], 6)
+        .end_row();
   }
-  return table.to_string();
+  return out.take();
 }
 
 rt::RtSeries csv_to_series(const std::string& csv) {
-  CsvTable table = CsvTable::parse(csv);
+  osprey::util::NumericCsv table = osprey::util::parse_numeric_csv(csv);
   rt::RtSeries s;
-  s.median = table.column_doubles("median");
-  s.lo95 = table.column_doubles("lo95");
-  s.hi95 = table.column_doubles("hi95");
+  s.median = table.column("median");
+  s.lo95 = table.column("lo95");
+  s.hi95 = table.column("hi95");
   return s;
 }
 
 std::string draws_to_csv(const rt::RtPosterior& posterior, int max_draws) {
-  std::vector<std::string> header;
-  header.reserve(posterior.days());
+  CsvWriter out;
   for (std::size_t t = 0; t < posterior.days(); ++t) {
-    header.push_back("d" + std::to_string(t));
+    out.field("d" + std::to_string(t));
   }
-  CsvTable table(header);
+  out.end_row();
   std::size_t n =
       std::min<std::size_t>(posterior.n_draws(),
                             static_cast<std::size_t>(max_draws));
   for (std::size_t d = 0; d < n; ++d) {
-    std::vector<std::string> row;
-    row.reserve(posterior.days());
     for (std::size_t t = 0; t < posterior.days(); ++t) {
-      row.push_back(osprey::util::format("%.5f", posterior.draws(d, t)));
+      out.field(posterior.draws(d, t), 5);
     }
-    table.add_row(std::move(row));
+    out.end_row();
   }
-  return table.to_string();
+  return out.take();
 }
 
+/// Throws InvalidArgument on a non-numeric or empty cell or a ragged
+/// row: a bad draw must fail the aggregation, not enter the ensemble.
 rt::RtPosterior csv_to_posterior(const std::string& csv) {
-  CsvTable table = CsvTable::parse(csv);
+  osprey::util::NumericCsv table = osprey::util::parse_numeric_csv(csv);
   rt::RtPosterior out;
-  out.draws = osprey::num::Matrix(table.num_rows(), table.num_cols());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    const auto& row = table.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out.draws(r, c) = std::strtod(row[c].c_str(), nullptr);
-    }
-  }
+  out.draws = osprey::num::Matrix(table.rows, table.header.size());
+  out.draws.data() = std::move(table.values);
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace osprey::fabric {
 
@@ -81,27 +82,8 @@ std::string IncidentLog::to_string() const {
   return out;
 }
 
-namespace {
-
-/// splitmix64 finalizer: the same counter-based primitive the legacy
-/// TransferService injection uses; keeps fabric/ independent of num/.
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
+using util::fnv1a;
+using util::mix64;
 
 FaultPlan::FaultPlan(std::uint64_t seed) : seed_(seed) {
   std::fill(std::begin(kind_rates_), std::end(kind_rates_), 0.0);

@@ -4,6 +4,7 @@
 
 #include "crypto/sha256.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace osprey::fabric {
@@ -27,11 +28,7 @@ void TransferService::inject_failures(double rate, std::uint64_t seed) {
 bool TransferService::should_fail_next() {
   if (failure_rate_ <= 0.0) return false;
   // splitmix64 step on the private counter.
-  std::uint64_t z = (failure_state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  double u = static_cast<double>(z >> 11) * 0x1.0p-53;
+  double u = util::uniform01(util::splitmix64_next(failure_state_));
   if (u < failure_rate_) {
     m_injected_->inc();
     return true;

@@ -4,17 +4,11 @@
 
 #include "num/special.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace osprey::num {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) {
-  std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -27,15 +21,15 @@ RngStream::RngStream(std::uint64_t seed, std::uint64_t stream)
   // Mix seed and stream id through splitmix64 to fill the state; a zero
   // state is impossible because splitmix64 output is never all-zero four
   // times in a row for distinct counters.
-  std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ULL * (stream + 1));
-  for (auto& si : s_) si = splitmix64(x);
+  std::uint64_t x = seed ^ (util::kSplitmixGamma * (stream + 1));
+  for (auto& si : s_) si = util::splitmix64_next(x);
 }
 
 RngStream RngStream::substream(std::uint64_t key) const {
   // Children are identified by hashing (seed, stream, key); draws made on
   // the parent do not affect the child.
   std::uint64_t x = seed_ ^ rotl(stream_ + 0x632be59bd9b4e019ULL, 17);
-  std::uint64_t mixed = splitmix64(x) ^ rotl(key + 1, 31);
+  std::uint64_t mixed = util::splitmix64_next(x) ^ rotl(key + 1, 31);
   return RngStream(mixed, key);
 }
 

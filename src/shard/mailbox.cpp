@@ -5,36 +5,19 @@
 #include <tuple>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace osprey::shard {
 
-namespace {
-
-/// splitmix64 finalizer (same counter-stamp primitive the fault plan
-/// uses; file-local so shard/ carries no extra dependency for it).
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
+using util::mix64;
 
 bool envelope_before(const Envelope& a, const Envelope& b) {
   return std::tie(a.tick, a.origin, a.seq) < std::tie(b.tick, b.origin, b.seq);
 }
 
-std::uint64_t stable_key_hash(const std::string& key) { return fnv1a(key); }
+std::uint64_t stable_key_hash(const std::string& key) {
+  return util::fnv1a(key);
+}
 
 std::size_t shard_of(const std::string& key, std::size_t num_shards) {
   OSPREY_REQUIRE(num_shards >= 1, "need at least one shard");

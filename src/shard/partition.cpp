@@ -5,6 +5,7 @@
 
 #include "aero/source.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace osprey::shard {
 
@@ -31,19 +32,11 @@ class MailboxSource final : public aero::DataSource {
 
 namespace {
 
-/// splitmix64 finalizer (file-local copy, repo idiom).
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Partition-stable uuid seed: a function of the key only, so the uuid
 /// stream is invariant under the shard count AND across crash-recovery
 /// restarts (WAL replay re-draws uuids in lockstep from this seed).
 std::uint64_t partition_uuid_seed(const std::string& key) {
-  return mix64(0xAE70 ^ stable_key_hash(key));
+  return util::mix64(0xAE70 ^ stable_key_hash(key));
 }
 
 Value transform_fn_impl(const Value& args) {

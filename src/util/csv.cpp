@@ -1,7 +1,7 @@
 #include "util/csv.hpp"
 
+#include <charconv>
 #include <cstdlib>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -78,34 +78,13 @@ std::vector<std::string> CsvTable::column_strings(
 
 namespace {
 
-bool needs_quoting(const std::string& field) {
-  return field.find_first_of(",\"\n\r") != std::string::npos;
-}
-
-void write_field(const std::string& field, std::ostringstream& out) {
-  if (!needs_quoting(field)) {
-    out << field;
-    return;
-  }
-  out << '"';
-  for (char c : field) {
-    if (c == '"') out << '"';
-    out << c;
-  }
-  out << '"';
-}
-
-void write_row(const std::vector<std::string>& row, std::ostringstream& out) {
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (i > 0) out << ',';
-    write_field(row[i], out);
-  }
-  out << '\n';
+bool needs_quoting(std::string_view field) {
+  return field.find_first_of(",\"\n\r") != std::string_view::npos;
 }
 
 /// Parse one logical CSV record starting at `pos`; handles quoted fields
 /// containing commas/newlines. Returns false at end of input.
-bool parse_record(const std::string& text, std::size_t& pos,
+bool parse_record(std::string_view text, std::size_t& pos,
                   std::vector<std::string>& fields) {
   fields.clear();
   if (pos >= text.size()) return false;
@@ -158,11 +137,63 @@ bool parse_record(const std::string& text, std::size_t& pos,
 
 }  // namespace
 
+void CsvWriter::separate() {
+  if (row_open_) out_ += ',';
+  row_open_ = true;
+}
+
+CsvWriter& CsvWriter::field(std::string_view text) {
+  separate();
+  if (!needs_quoting(text)) {
+    out_ += text;
+    return *this;
+  }
+  out_ += '"';
+  for (char c : text) {
+    if (c == '"') out_ += '"';
+    out_ += c;
+  }
+  out_ += '"';
+  return *this;
+}
+
+CsvWriter& CsvWriter::field(double value, int precision) {
+  OSPREY_REQUIRE(precision >= 0 && precision <= 64,
+                 "CSV number precision must be in [0, 64]");
+  separate();
+  // The longest fixed rendering of a double: sign, 309 integer digits,
+  // the point and the decimals.
+  char buf[376];
+  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value,
+                                 std::chars_format::fixed, precision);
+  out_.append(buf, ptr);
+  return *this;
+}
+
+CsvWriter& CsvWriter::field(std::size_t value) {
+  separate();
+  char buf[24];
+  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  out_.append(buf, ptr);
+  return *this;
+}
+
+CsvWriter& CsvWriter::end_row() {
+  out_ += '\n';
+  row_open_ = false;
+  return *this;
+}
+
+CsvWriter& CsvWriter::row(const std::vector<std::string>& fields) {
+  for (const std::string& f : fields) field(std::string_view(f));
+  return end_row();
+}
+
 std::string CsvTable::to_string() const {
-  std::ostringstream out;
-  write_row(header_, out);
-  for (const auto& r : rows_) write_row(r, out);
-  return out.str();
+  CsvWriter out;
+  out.row(header_);
+  for (const auto& r : rows_) out.row(r);
+  return out.take();
 }
 
 CsvTable CsvTable::parse(const std::string& text) {
@@ -174,6 +205,53 @@ CsvTable CsvTable::parse(const std::string& text) {
     table.add_row(fields);
   }
   return table;
+}
+
+std::vector<double> NumericCsv::column(const std::string& name) const {
+  const std::size_t cols = header.size();
+  for (std::size_t c = 0; c < cols; ++c) {
+    if (header[c] != name) continue;
+    std::vector<double> out(rows);
+    for (std::size_t r = 0; r < rows; ++r) out[r] = values[r * cols + c];
+    return out;
+  }
+  throw NotFound("CSV column not found: " + name);
+}
+
+NumericCsv parse_numeric_csv(std::string_view text) {
+  NumericCsv out;
+  std::size_t pos = 0;
+  OSPREY_REQUIRE(parse_record(text, pos, out.header), "empty CSV document");
+  const std::size_t cols = out.header.size();
+  const char* p = text.data() + pos;
+  const char* const end = text.data() + text.size();
+  while (p != end) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      // A cell is one number followed by ',' — or, in the last column,
+      // by the line end.
+      double v = 0.0;
+      auto [next, ec] = std::from_chars(p, end, v);
+      bool ok = ec == std::errc();
+      if (ok && c + 1 < cols) {
+        ok = next != end && *next++ == ',';
+      } else if (ok) {
+        if (next != end && *next == '\r') ++next;
+        ok = next == end || *next++ == '\n';
+      }
+      if (!ok) {
+        const char* stop = p;
+        while (stop != end && *stop != ',' && *stop != '\n') ++stop;
+        throw InvalidArgument("CSV data row " + std::to_string(out.rows + 1) +
+                              ", column " + std::to_string(c + 1) +
+                              ": not a number or a ragged row at '" +
+                              std::string(p, stop) + "'");
+      }
+      out.values.push_back(v);
+      p = next;
+    }
+    ++out.rows;
+  }
+  return out;
 }
 
 }  // namespace osprey::util

@@ -5,7 +5,9 @@
 /// tabular model outputs travel between simulated endpoints as CSV blobs,
 /// mirroring the tabular files exchanged in the paper's workflow.
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace osprey::util {
@@ -44,5 +46,51 @@ class CsvTable {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// Builds a CSV document by appending fields; the one quoting
+/// implementation (CsvTable::to_string writes through it too). Numbers
+/// are formatted straight into the output with std::to_chars, which
+/// gives the bytes printf("%.<precision>f") gives.
+class CsvWriter {
+ public:
+  /// Append a text field, RFC-4180-quoted when it holds a comma, quote
+  /// or line break.
+  CsvWriter& field(std::string_view text);
+  /// Append `value` in fixed notation with `precision` decimals.
+  CsvWriter& field(double value, int precision);
+  /// Append an unsigned integer.
+  CsvWriter& field(std::size_t value);
+  /// Terminate the current record.
+  CsvWriter& end_row();
+  /// Append a whole record of text fields.
+  CsvWriter& row(const std::vector<std::string>& fields);
+
+  /// Move the document out.
+  std::string take() { return std::move(out_); }
+
+ private:
+  void separate();
+
+  std::string out_;
+  bool row_open_ = false;
+};
+
+/// A CSV document whose data cells are all numbers: the header plus a
+/// row-major matrix of values.
+struct NumericCsv {
+  std::vector<std::string> header;
+  std::size_t rows = 0;
+  std::vector<double> values;  // rows x header.size(), row-major
+
+  /// Whole column by header name; throws NotFound when absent.
+  std::vector<double> column(const std::string& name) const;
+};
+
+/// Strict numeric reader: every data cell must be one whole number as
+/// std::from_chars reads it (the same double strtod gives for it), and
+/// every row must be as wide as the header. An empty, quoted or partly
+/// numeric cell, or a ragged row, throws InvalidArgument — nothing is
+/// read as 0. Data lines end in \n or \r\n; the header may be quoted.
+NumericCsv parse_numeric_csv(std::string_view text);
 
 }  // namespace osprey::util

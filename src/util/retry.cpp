@@ -5,25 +5,9 @@
 #include <limits>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace osprey::util {
-
-namespace {
-
-/// splitmix64 finalizer: counter-based, stateless, replayable. Kept
-/// local so util/ stays independent of num/'s RNG streams.
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-double uniform01(std::uint64_t bits) {
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 SimTime RetryPolicy::cap() const {
   if (max_backoff > 0) return max_backoff;
@@ -67,15 +51,7 @@ SimTime RetryPolicy::jittered(int attempt, std::uint64_t key) const {
   return std::max<SimTime>(1, static_cast<SimTime>(std::llround(scaled)));
 }
 
-std::uint64_t stable_key(const char* s) {
-  // FNV-1a: stable across runs and platforms, unlike std::hash.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (; *s != '\0'; ++s) {
-    h ^= static_cast<unsigned char>(*s);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+std::uint64_t stable_key(const char* s) { return fnv1a(s); }
 
 const char* breaker_state_name(BreakerState s) {
   switch (s) {

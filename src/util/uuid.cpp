@@ -2,16 +2,15 @@
 
 #include <cstdio>
 
+#include "util/hash.hpp"
+
 namespace osprey::util {
 
 UuidFactory::UuidFactory(std::uint64_t seed) : state_(seed) {}
 
 std::uint64_t UuidFactory::next_u64() {
   // splitmix64: tiny, fast, and statistically fine for identifiers.
-  std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return splitmix64_next(state_);
 }
 
 std::string UuidFactory::next() {

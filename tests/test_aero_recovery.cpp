@@ -18,6 +18,7 @@
 #include "fabric/fault.hpp"
 #include "serve/cache.hpp"
 #include "util/durable_fs.hpp"
+#include "util/hash.hpp"
 
 namespace oa = osprey::aero;
 namespace of = osprey::fabric;
@@ -31,12 +32,7 @@ using ou::ValueObject;
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using ou::mix64;
 
 std::string db_bytes(const oa::MetadataDb& db) {
   return db.to_json().to_json() + "\n" + db.provenance_dot();

@@ -90,3 +90,41 @@ TEST(DataQuality, AllInvalidYieldsEmptyTable) {
   ou::CsvTable out = ou::CsvTable::parse(result.at("output").as_string());
   EXPECT_EQ(out.num_rows(), 0u);
 }
+
+namespace {
+
+Value aggregate(Harnesses& h, const std::string& bad_draws) {
+  ValueObject draws;
+  draws["plant-a"] = Value(std::string("d0,d1,d2\n1.00000,1.10000,1.20000\n"
+                                       "0.90000,1.00000,1.10000\n"));
+  draws["plant-b"] = Value(bad_draws);
+  ValueObject weights;
+  weights["plant-a"] = Value(0.5);
+  weights["plant-b"] = Value(0.5);
+  ValueObject args;
+  args["draws"] = Value(draws);
+  args["weights"] = Value(weights);
+  return h.usecase.harnesses().invoke("rt-aggregate", Value(args));
+}
+
+}  // namespace
+
+TEST(DataQuality, AggregateRejectsMalformedDraws) {
+  // A draw that is not a number must fail the ensemble run, not enter
+  // the population-weighted average as 0.
+  Harnesses h;
+  Value ok = aggregate(h, "d0,d1,d2\n1.20000,1.30000,1.40000\n"
+                          "1.00000,1.10000,1.20000\n");
+  ou::CsvTable agg = ou::CsvTable::parse(ok.at("aggregate_csv").as_string());
+  EXPECT_EQ(agg.num_rows(), 3u);
+  EXPECT_GT(agg.cell_double(0, "median"), 0.9);
+
+  const char* kBad[] = {
+      "d0,d1,d2\n1.20000,oops,1.40000\n1.00000,1.10000,1.20000\n",  // text
+      "d0,d1,d2\n1.20000,,1.40000\n1.00000,1.10000,1.20000\n",      // empty
+      "d0,d1,d2\n1.20000,1.30000\n1.00000,1.10000,1.20000\n",       // ragged
+  };
+  for (const char* bad : kBad) {
+    EXPECT_THROW(aggregate(h, bad), ou::InvalidArgument) << bad;
+  }
+}

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/usecase_gsa.hpp"
 #include "core/usecase_ww.hpp"
+#include "crypto/sha256.hpp"
 #include "num/stats.hpp"
+#include "util/durable_fs.hpp"
 
 namespace oc = osprey::core;
 namespace on = osprey::num;
@@ -118,6 +122,57 @@ TEST(WastewaterUseCase, StakeholderHasReadAccess) {
   EXPECT_THROW(eagle.put(oc::WastewaterUseCase::kCollection, "rogue", "x",
                          stakeholder_token),
                ou::AuthError);
+}
+
+TEST(WastewaterUseCase, GoldenArtifactDigests) {
+  // A short fixed-seed campaign with daily publication and the WAL on
+  // MemFs. Every published version of the three CSV artifacts is
+  // hashed in publication order, and the MetadataDb snapshot is hashed
+  // at the end. The values were recorded before the numeric CSV codec
+  // and the SHA-NI kernel replaced util::format/CsvTable and the
+  // portable compress on this path, so any byte drift in either fails.
+  ou::MemFs fs;  // outlives the platform's WAL
+  oc::OspreyPlatform platform;
+  platform.aero().enable_durability(fs);
+  oc::WwUseCaseConfig cfg = small_ww_config();
+  cfg.horizon_days = 40;
+  cfg.ww.publish_period_days = 1;
+  oc::WastewaterUseCase usecase(platform, cfg);
+  usecase.build();
+
+  std::map<std::string, std::string> artifact_of;  // uuid -> artifact name
+  for (const auto& outs : usecase.analysis_outputs()) {
+    artifact_of[outs[0]] = "rt_summary.csv";
+    artifact_of[outs[1]] = "rt_draws.csv";
+  }
+  artifact_of[usecase.aggregate_outputs()[0]] = "aggregate_rt.csv";
+  std::map<std::string, osprey::crypto::Sha256> hashers;
+  std::map<std::string, int> versions;
+  platform.aero().add_update_listener([&](const std::string& uuid) {
+    auto it = artifact_of.find(uuid);
+    if (it == artifact_of.end()) return;
+    auto v = platform.aero().db().latest_version(uuid);
+    ASSERT_TRUE(v.has_value());
+    hashers[it->second].update(
+        platform.storage_endpoint(v->endpoint)
+            .get(v->collection, v->path, platform.aero().token())
+            .bytes);
+    ++versions[it->second];
+  });
+  usecase.run_to_end();
+
+  EXPECT_EQ(versions["rt_draws.csv"], 24);
+  EXPECT_EQ(versions["rt_summary.csv"], 24);
+  EXPECT_EQ(versions["aggregate_rt.csv"], 6);
+  EXPECT_EQ(hashers["rt_draws.csv"].hex_digest(),
+            "8e645aed3181f3beebb9e6153e7c61797497c2d5a0f2ed8a6894b1160f63dc2a");
+  EXPECT_EQ(hashers["rt_summary.csv"].hex_digest(),
+            "5b09af3a8c50cd527ad38ac5e0acbc08b983d1a681d4eae6646c3b4d9fd98096");
+  EXPECT_EQ(hashers["aggregate_rt.csv"].hex_digest(),
+            "dda3f45e06cf7a60f469dc4131f5a649fd1b7d953ef19eb4395f6510e79de961");
+  EXPECT_EQ(osprey::crypto::Sha256::hash_hex(
+                platform.aero().db().to_json().to_json()),
+            "29d01d1f819549f0d446c0d70fab511723d3c4b6e292ac21e5b194257113fbeb");
 }
 
 TEST(GsaUseCase, InterleavedReplicatesProduceTrajectories) {

@@ -155,6 +155,41 @@ TEST(LintAnalyzer, WalBypassScopedToAeroModule) {
   EXPECT_TRUE(run_rule(a, "wal-bypass").empty());
 }
 
+TEST(LintAnalyzer, HashCopyFlagsSplitmixAndFnvConstants) {
+  ol::Analyzer a(test_layers());
+  a.add_file("src/fabric/svc.cpp",
+             "std::uint64_t mix(std::uint64_t z) {\n"
+             "  z += 0x9E3779B97F4A7C15ull;\n"  // case and suffix vary
+             "  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;\n"
+             "  return z * 0x94d0'49bb'1331'11eb;\n"  // digit separators
+             "}\n"
+             "std::uint64_t h = 14695981039346656037u;\n"  // FNV basis
+             "const char* s = \"0x100000001b3\";\n"  // a string: passes
+             "std::uint64_t p = 0x100000001b3;\n"
+             "std::uint64_t q = 0x9e3779b97f4a7c16ULL;\n"  // not a constant
+             "// osprey-lint: allow(hash-copy) test fixture\n"
+             "std::uint64_t r = 0xcbf29ce484222325ULL;\n");
+  std::vector<ol::Finding> found = run_rule(a, "hash-copy");
+  ASSERT_EQ(found.size(), 5u);
+  EXPECT_EQ(found[0].line, 2u);
+  EXPECT_EQ(found[1].line, 3u);
+  EXPECT_EQ(found[2].line, 4u);
+  EXPECT_EQ(found[3].line, 6u);
+  EXPECT_EQ(found[4].line, 8u);
+}
+
+TEST(LintAnalyzer, HashCopyExemptsTheOneHome) {
+  ol::Analyzer a(test_layers());
+  a.add_file("src/util/hash.hpp",
+             "constexpr std::uint64_t g = 0x9e3779b97f4a7c15ULL;\n"
+             "constexpr std::uint64_t b = 0xcbf29ce484222325ULL;\n");
+  a.add_file("tests/test_x.cpp",
+             "std::uint64_t g = 0x9e3779b97f4a7c15ULL;\n");
+  std::vector<ol::Finding> found = run_rule(a, "hash-copy");
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].file, "tests/test_x.cpp");
+}
+
 TEST(LintAnalyzer, ShardIsolationFlagsOrchestrationState) {
   ol::Analyzer a(test_layers());
   a.add_file("src/shard/fabric.cpp",

@@ -55,6 +55,30 @@ bool shard_isolation_applies(const std::string& p) {
          !starts_with(p, "src/shard/partition.");
 }
 
+// The small hashes live in util/hash.hpp only.
+bool hash_copy_applies(const std::string& p) {
+  return p != "src/util/hash.hpp";
+}
+
+/// A number token spelling one of the splitmix64 or FNV-1a constants
+/// (any case, digit separators or integer suffix).
+bool hash_constant(const std::string& number) {
+  std::string n;
+  for (char c : number) {
+    if (c == '\'') continue;
+    n += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  while (!n.empty() && (n.back() == 'u' || n.back() == 'l')) n.pop_back();
+  static const char* kConstants[] = {
+      "0x9e3779b97f4a7c15", "0xbf58476d1ce4e5b9", "0x94d049bb133111eb",
+      "0xcbf29ce484222325", "0x100000001b3",      "14695981039346656037",
+      "1099511628211"};
+  for (const char* k : kConstants) {
+    if (n == k) return true;
+  }
+  return false;
+}
+
 bool counter_name(const std::string& s) {
   if (s.size() < 2 || s.back() != '_') return false;
   for (char c : s) {
@@ -147,6 +171,10 @@ const std::vector<RuleInfo>& rule_catalog() {
        "serve_latest) referenced in src/shard outside partition.* — the "
        "fabric and coordinator speak only in mailbox envelopes; "
        "ShardPartition is the sole owner of per-partition state"},
+      {"hash-copy",
+       "a splitmix64 or FNV-1a constant outside src/util/hash.hpp — use "
+       "util::mix64 / util::splitmix64_next / util::fnv1a instead of "
+       "another copy"},
       {"stale-suppression",
        "a 'grandfathered' allow() suppression outlived the PR that "
        "introduced its rule — migrate the code instead (not suppressible)"},
@@ -215,6 +243,17 @@ void Analyzer::token_rules(const std::string& path, const Entry& e,
   const bool serve_on = serve_applies(path);
   const bool aero_on = aero_applies(path);
   const bool shard_on = shard_isolation_applies(path);
+
+  if (hash_copy_applies(path)) {
+    for (const Token& t : toks) {
+      if (t.kind == Tok::kNumber && hash_constant(t.text)) {
+        report("hash-copy", t.line,
+               "splitmix64/FNV-1a constant " + t.text +
+                   " outside src/util/hash.hpp; call util::mix64, "
+                   "util::splitmix64_next or util::fnv1a instead");
+      }
+    }
+  }
 
   auto bare_or_std = [&](std::size_t j) {
     if (j == 0) return true;

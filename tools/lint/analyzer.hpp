@@ -8,6 +8,8 @@
 ///     wall-clock, raw-thread, relative-include, fabric-raw-throw,
 ///     adhoc-counter, serve-direct-origin) — now immune to the
 ///     string/comment false-positive class by construction;
+///   * hash-copy: the splitmix64 / FNV-1a constants appear only in
+///     src/util/hash.hpp, so no file grows its own copy of the hashes;
 ///   * test-registration (tests/test_*.cpp present in CMakeLists.txt);
 ///   * stale-suppression (a "grandfathered" allow() outliving its PR);
 ///   * layering: every src-to-src include edge must be declared in
