@@ -25,7 +25,10 @@
 #           output) and one short traced `ww_rt` run, whose replays —
 #           the rt CSVs re-serialized by perfbench's frozen copy of the
 #           serializer, SHA-256 against the recorded checksums, WAL
-#           recovery — must reproduce the published bytes.
+#           recovery — must reproduce the published bytes. Then one
+#           traced `gsa` run: its four checks, and a synchronous MUSIC
+#           replay of replicate 0 that must reproduce the interleaved
+#           run's S1 bit for bit.
 #   asan    address+undefined sanitizer build, full ctest suite.
 #   ubsan   standalone undefined-behavior sanitizer build, full ctest
 #           suite (catches UB that ASan's instrumentation masks).
@@ -152,7 +155,8 @@ stage_bench() {
   test -s results/BENCH_fig2_rt.json &&
   echo "bench artifact: results/BENCH_fig2_rt.json" &&
   python3 perfbench/run.py --self-test &&
-  python3 perfbench/run.py --workload ww_rt --seed 1 --seconds 2 --trace 1
+  python3 perfbench/run.py --workload ww_rt --seed 1 --seconds 2 --trace 1 &&
+  python3 perfbench/run.py --workload gsa --seed 1 --seconds 2 --trace 1
 }
 
 stage_asan() {

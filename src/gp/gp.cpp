@@ -14,6 +14,20 @@ namespace osprey::gp {
 using osprey::num::Cholesky;
 using osprey::num::Vector;
 
+namespace {
+
+/// predict_batch()'s candidates per block: the forward solve's scratch
+/// stays O(n * kPredictBlock).
+constexpr std::size_t kPredictBlock = 16;
+
+/// Batches with real work (rows x training points) fan out on the
+/// shared pool; small ones stay on the caller.
+bool worth_fanning_out(std::size_t rows, std::size_t n) {
+  return rows >= 32 && rows * n >= 16384;
+}
+
+}  // namespace
+
 GaussianProcess::GaussianProcess(GpConfig config)
     : config_(std::move(config)) {}
 
@@ -189,6 +203,67 @@ GpPrediction GaussianProcess::predict(const Vector& xstar) const {
   return pred;
 }
 
+std::vector<GpPrediction> GaussianProcess::predict_batch(
+    const Matrix& xstar) const {
+  OSPREY_REQUIRE(fitted(), "predict before fit");
+  OSPREY_REQUIRE(xstar.cols() == x_.cols(), "dimension mismatch");
+  const std::size_t n = x_.rows();
+  const std::size_t d = x_.cols();
+  const Matrix& l = chol_->lower();
+  std::vector<GpPrediction> out(xstar.rows());
+  // Row i of `v` holds entry i of every block candidate's k, and the
+  // forward solve overwrites it with entry i of L^{-1} k. Lanes past a
+  // partial block's end stay zero.
+  Vector v(n * kPredictBlock);
+  for (std::size_t begin = 0; begin < xstar.rows(); begin += kPredictBlock) {
+    const std::size_t width = std::min(kPredictBlock, xstar.rows() - begin);
+    std::fill(v.begin(), v.end(), 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t b = 0; b < width; ++b) {
+        double q = 0.0;
+        for (std::size_t c = 0; c < d; ++c) {
+          double diff =
+              (x_(i, c) - xstar(begin + b, c)) / kernel_.lengthscales[c];
+          q += diff * diff;
+        }
+        v[i * kPredictBlock + b] = kernel_.variance * std::exp(-0.5 * q);
+      }
+    }
+    double m[kPredictBlock] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t b = 0; b < kPredictBlock; ++b) {
+        m[b] += v[i * kPredictBlock + b] * alpha_[i];
+      }
+    }
+    // solve_lower's recurrence, one lane per candidate.
+    for (std::size_t i = 0; i < n; ++i) {
+      double s[kPredictBlock];
+      double* vi = &v[i * kPredictBlock];
+      std::copy(vi, vi + kPredictBlock, s);
+      for (std::size_t k = 0; k < i; ++k) {
+        const double lik = l(i, k);
+        const double* vk = &v[k * kPredictBlock];
+        for (std::size_t b = 0; b < kPredictBlock; ++b) s[b] -= lik * vk[b];
+      }
+      const double lii = l(i, i);
+      for (std::size_t b = 0; b < kPredictBlock; ++b) vi[b] = s[b] / lii;
+    }
+    double vv[kPredictBlock] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t b = 0; b < kPredictBlock; ++b) {
+        vv[b] += v[i * kPredictBlock + b] * v[i * kPredictBlock + b];
+      }
+    }
+    for (std::size_t b = 0; b < width; ++b) {
+      GpPrediction& pred = out[begin + b];
+      pred.mean = y_mean_ + y_sd_ * m[b];
+      double var = std::max(kernel_.variance - vv[b], 0.0);
+      pred.variance = var * y_sd_ * y_sd_;
+    }
+  }
+  return out;
+}
+
 Vector GaussianProcess::predict_mean(const Matrix& xstar) const {
   OSPREY_REQUIRE(fitted(), "predict before fit");
   OSPREY_REQUIRE(xstar.cols() == x_.cols(), "dimension mismatch");
@@ -207,13 +282,78 @@ Vector GaussianProcess::predict_mean(const Matrix& xstar) const {
     out[p] = y_mean_ + y_sd_ * m;
   };
   // Rows are independent and each writes its own slot, so the fan-out
-  // is bit-identical to the serial loop. Only batches with real work
-  // (rows x training points) go to the pool.
-  if (config_.parallel && xstar.rows() >= 32 &&
-      xstar.rows() * x_.rows() >= 16384) {
+  // is bit-identical to the serial loop.
+  if (config_.parallel && worth_fanning_out(xstar.rows(), x_.rows())) {
     osprey::util::global_pool().parallel_for(xstar.rows(), predict_row);
   } else {
     for (std::size_t p = 0; p < xstar.rows(); ++p) predict_row(p);
+  }
+  return out;
+}
+
+std::vector<Vector> GaussianProcess::predict_mean_pick_freeze(
+    const Matrix& a, const Matrix& b) const {
+  OSPREY_REQUIRE(fitted(), "predict before fit");
+  OSPREY_REQUIRE(a.cols() == x_.cols() && b.cols() == x_.cols() &&
+                     a.rows() == b.rows(),
+                 "dimension mismatch");
+  const std::size_t n = x_.rows();
+  const std::size_t d = x_.cols();
+  const std::size_t rows = a.rows();
+  // Training inputs column-major, so every per-dimension loop below runs
+  // down contiguous training points.
+  Vector xt(d * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < d; ++c) xt[c * n + i] = x_(i, c);
+  }
+  // predict_mean's alpha_i * variance * exp(.) multiplies left to right.
+  Vector w(n);
+  for (std::size_t i = 0; i < n; ++i) w[i] = alpha_[i] * kernel_.variance;
+  std::vector<Vector> out(d + 2, Vector(rows));
+
+  auto predict_rows = [&](std::size_t begin, std::size_t end) {
+    // Per dimension c, ta[c*n + i] = ((x_ic - a_pc)/l_c)^2 and tb the
+    // same against b: predict_mean's per-term expression. Variant v is
+    // A (0), B (1) or AB_j (j + 2), and its q sums its terms in c order
+    // exactly as predict_mean's does for that row.
+    Vector ta(d * n), tb(d * n), q(n);
+    for (std::size_t p = begin; p < end; ++p) {
+      for (std::size_t c = 0; c < d; ++c) {
+        const double ac = a(p, c);
+        const double bc = b(p, c);
+        const double lc = kernel_.lengthscales[c];
+        const double* xc = &xt[c * n];
+        double* tac = &ta[c * n];
+        double* tbc = &tb[c * n];
+        for (std::size_t i = 0; i < n; ++i) {
+          double da = (xc[i] - ac) / lc;
+          double db = (xc[i] - bc) / lc;
+          tac[i] = da * da;
+          tbc[i] = db * db;
+        }
+      }
+      for (std::size_t v = 0; v < d + 2; ++v) {
+        std::fill(q.begin(), q.end(), 0.0);
+        for (std::size_t c = 0; c < d; ++c) {
+          const double* t = (v == 1 || v == c + 2) ? &tb[c * n] : &ta[c * n];
+          for (std::size_t i = 0; i < n; ++i) q[i] += t[i];
+        }
+        double m = 0.0;
+        for (std::size_t i = 0; i < n; ++i) m += w[i] * std::exp(-0.5 * q[i]);
+        out[v][p] = y_mean_ + y_sd_ * m;
+      }
+    }
+  };
+  // Same fan-out rule as predict_mean, in blocks of rows so the scratch
+  // is allocated per block, not per row.
+  if (config_.parallel && worth_fanning_out(rows, n)) {
+    constexpr std::size_t kRowBlock = 32;
+    osprey::util::global_pool().parallel_for(
+        (rows + kRowBlock - 1) / kRowBlock, [&](std::size_t k) {
+          predict_rows(k * kRowBlock, std::min(rows, (k + 1) * kRowBlock));
+        });
+  } else {
+    predict_rows(0, rows);
   }
   return out;
 }

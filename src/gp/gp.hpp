@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "gp/kernel.hpp"
 #include "num/cholesky.hpp"
@@ -73,9 +74,20 @@ class GaussianProcess {
   std::size_t dim() const { return x_.cols(); }
 
   GpPrediction predict(const Vector& xstar) const;
+  /// predict() for every row of `xstar`, bit for bit. The forward solves
+  /// run over blocks of candidates side by side, each candidate keeping
+  /// predict()'s operation order (the acquisition hot path).
+  std::vector<GpPrediction> predict_batch(const Matrix& xstar) const;
   /// Mean-only batch prediction (O(n·d) per point; used by the
   /// surrogate-based Sobol estimator where variance is not needed).
   Vector predict_mean(const Matrix& xstar) const;
+  /// Means on a Saltelli pick-freeze design in one pass: returns
+  /// {predict_mean(a), predict_mean(b), predict_mean(ab_1), ...,
+  /// predict_mean(ab_d)}, each bit for bit, where ab_j is `a` with
+  /// column j taken from `b`. The scaled squared distances to a row of
+  /// `a` and of `b` are computed once and shared by all d + 2 variants.
+  std::vector<Vector> predict_mean_pick_freeze(const Matrix& a,
+                                               const Matrix& b) const;
 
   /// Log marginal likelihood of the current fit (standardized scale).
   double log_marginal_likelihood() const;

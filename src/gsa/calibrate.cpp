@@ -58,10 +58,12 @@ std::optional<Vector> Calibrator::advance() {
   osprey::num::RngStream cand_rng = rng_.substream(1000 + y_.size());
   Matrix candidates = osprey::num::latin_hypercube(config_.n_candidates,
                                                    dim(), cand_rng);
+  const std::vector<osprey::gp::GpPrediction> preds =
+      gp_.predict_batch(candidates);
   double best_score = -std::numeric_limits<double>::infinity();
   std::size_t best = 0;
   for (std::size_t c = 0; c < candidates.rows(); ++c) {
-    osprey::gp::GpPrediction pred = gp_.predict(candidates.row(c));
+    const osprey::gp::GpPrediction& pred = preds[c];
     double sd = std::sqrt(std::max(pred.variance, 0.0));
     double score;
     if (sd <= 0.0) {

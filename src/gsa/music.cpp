@@ -47,11 +47,10 @@ void MusicEngine::ingest(const Vector& x_box, double y) {
 }
 
 SobolIndices MusicEngine::estimate_surrogate_indices() const {
-  BatchModelFn surrogate = [this](const Matrix& u) {
-    return gp_.predict_mean(u);
-  };
+  SaltelliDesign design =
+      saltelli_design(unit_ranges_, config_.surrogate_mc_n);
   SobolIndices idx =
-      saltelli_indices(surrogate, unit_ranges_, config_.surrogate_mc_n);
+      jansen_indices(gp_.predict_mean_pick_freeze(design.a, design.b));
   // Clamp to [0,1]: MC noise can push estimates slightly outside.
   for (double& s : idx.first_order) s = std::clamp(s, 0.0, 1.0);
   for (double& s : idx.total_order) s = std::clamp(s, 0.0, 1.0);
@@ -69,48 +68,6 @@ const char* acquisition_name(Acquisition acquisition) {
   return "?";
 }
 
-double MusicEngine::acquisition_score(const Vector& u) const {
-  osprey::gp::GpPrediction pred = gp_.predict(u);
-  double sd = std::sqrt(std::max(pred.variance, 0.0));
-  switch (config_.acquisition) {
-    case Acquisition::kEigf: {
-      // Nearest design point in the unit cube (plain Euclidean metric,
-      // as in the EIGF definition).
-      double best_dist = std::numeric_limits<double>::infinity();
-      std::size_t nn = 0;
-      for (std::size_t i = 0; i < x_unit_.size(); ++i) {
-        double q = 0.0;
-        for (std::size_t j = 0; j < u.size(); ++j) {
-          double d = x_unit_[i][j] - u[j];
-          q += d * d;
-        }
-        if (q < best_dist) {
-          best_dist = q;
-          nn = i;
-        }
-      }
-      double local = pred.mean - y_[nn];
-      return local * local + pred.variance;
-    }
-    case Acquisition::kVariance:
-      return pred.variance;
-    case Acquisition::kEi: {
-      // Expected improvement over the best (largest) observed response.
-      double best_y = *std::max_element(y_.begin(), y_.end());
-      if (sd <= 0.0) return 0.0;
-      double z = (pred.mean - best_y) / sd;
-      double phi = std::exp(-0.5 * z * z) / std::sqrt(2.0 * M_PI);
-      double cdf = 0.5 * std::erfc(-z / std::sqrt(2.0));
-      return (pred.mean - best_y) * cdf + sd * phi;
-    }
-    case Acquisition::kUcb:
-      return pred.mean + config_.ucb_beta * sd;
-    case Acquisition::kRandom:
-      return 0.0;  // handled by the caller (all scores tie)
-  }
-  return 0.0;
-}
-
 Vector MusicEngine::acquire_next() {
   osprey::num::RngStream cand_rng = rng_.substream(1000 + y_.size());
   Matrix candidates = osprey::num::latin_hypercube(config_.n_candidates,
@@ -119,10 +76,54 @@ Vector MusicEngine::acquire_next() {
     return candidates.row(
         static_cast<std::size_t>(cand_rng.uniform_int(candidates.rows())));
   }
+  const std::vector<osprey::gp::GpPrediction> preds =
+      gp_.predict_batch(candidates);
+  // EI's incumbent: the best (largest) observed response.
+  const double best_y = *std::max_element(y_.begin(), y_.end());
   double best_score = -std::numeric_limits<double>::infinity();
   std::size_t best = 0;
   for (std::size_t c = 0; c < candidates.rows(); ++c) {
-    double score = acquisition_score(candidates.row(c));
+    const osprey::gp::GpPrediction& pred = preds[c];
+    double sd = std::sqrt(std::max(pred.variance, 0.0));
+    double score = 0.0;
+    switch (config_.acquisition) {
+      case Acquisition::kEigf: {
+        // Nearest design point in the unit cube (plain Euclidean metric,
+        // as in the EIGF definition).
+        double best_dist = std::numeric_limits<double>::infinity();
+        std::size_t nn = 0;
+        for (std::size_t i = 0; i < x_unit_.size(); ++i) {
+          double q = 0.0;
+          for (std::size_t j = 0; j < dim(); ++j) {
+            double d = x_unit_[i][j] - candidates(c, j);
+            q += d * d;
+          }
+          if (q < best_dist) {
+            best_dist = q;
+            nn = i;
+          }
+        }
+        double local = pred.mean - y_[nn];
+        score = local * local + pred.variance;
+        break;
+      }
+      case Acquisition::kVariance:
+        score = pred.variance;
+        break;
+      case Acquisition::kEi: {
+        if (sd <= 0.0) break;
+        double z = (pred.mean - best_y) / sd;
+        double phi = std::exp(-0.5 * z * z) / std::sqrt(2.0 * M_PI);
+        double cdf = 0.5 * std::erfc(-z / std::sqrt(2.0));
+        score = (pred.mean - best_y) * cdf + sd * phi;
+        break;
+      }
+      case Acquisition::kUcb:
+        score = pred.mean + config_.ucb_beta * sd;
+        break;
+      case Acquisition::kRandom:
+        break;  // drawn above
+    }
     if (score > best_score) {
       best_score = score;
       best = c;

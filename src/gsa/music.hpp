@@ -102,7 +102,6 @@ class MusicEngine {
  private:
   SobolIndices estimate_surrogate_indices() const;
   Vector acquire_next();
-  double acquisition_score(const Vector& u) const;
 
   MusicConfig config_;
   std::vector<ParamRange> unit_ranges_;

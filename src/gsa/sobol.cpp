@@ -8,9 +8,8 @@
 
 namespace osprey::gsa {
 
-SobolIndices saltelli_indices(const BatchModelFn& model,
-                              const std::vector<ParamRange>& ranges,
-                              std::size_t n_base) {
+SaltelliDesign saltelli_design(const std::vector<ParamRange>& ranges,
+                               std::size_t n_base) {
   const std::size_t d = ranges.size();
   OSPREY_REQUIRE(d >= 1, "need at least one parameter");
   OSPREY_REQUIRE(n_base >= 8, "n_base too small");
@@ -19,19 +18,27 @@ SobolIndices saltelli_indices(const BatchModelFn& model,
 
   // A and B from one 2d-dimensional low-discrepancy stream.
   osprey::num::SobolSequence seq(2 * d);
-  Matrix a(n_base, d), b(n_base, d);
+  SaltelliDesign design{Matrix(n_base, d), Matrix(n_base, d)};
   for (std::size_t i = 0; i < n_base; ++i) {
     Vector p = seq.next();
     for (std::size_t j = 0; j < d; ++j) {
-      a(i, j) = ranges[j].lo + (ranges[j].hi - ranges[j].lo) * p[j];
-      b(i, j) = ranges[j].lo + (ranges[j].hi - ranges[j].lo) * p[d + j];
+      design.a(i, j) = ranges[j].lo + (ranges[j].hi - ranges[j].lo) * p[j];
+      design.b(i, j) =
+          ranges[j].lo + (ranges[j].hi - ranges[j].lo) * p[d + j];
     }
   }
+  return design;
+}
 
-  Vector ya = model(a);
-  Vector yb = model(b);
-  OSPREY_CHECK(ya.size() == n_base && yb.size() == n_base,
-               "model returned wrong batch size");
+SobolIndices jansen_indices(const std::vector<Vector>& outputs) {
+  OSPREY_REQUIRE(outputs.size() >= 3, "need f(A), f(B) and one f(AB_j)");
+  const std::size_t d = outputs.size() - 2;
+  const std::size_t n_base = outputs[0].size();
+  for (const Vector& y : outputs) {
+    OSPREY_CHECK(y.size() == n_base, "model returned wrong batch size");
+  }
+  const Vector& ya = outputs[0];
+  const Vector& yb = outputs[1];
 
   // Total variance from the pooled A∪B sample.
   std::vector<double> pooled;
@@ -47,15 +54,13 @@ SobolIndices saltelli_indices(const BatchModelFn& model,
   out.evaluations = n_base * (d + 2);
   if (var_y <= 0.0) return out;  // constant model: all indices zero
 
-  Matrix ab = a;
   // Jansen squared-difference terms, batched through the SoA kernel;
   // the i-ascending accumulation below matches the scalar loop exactly,
   // so replicate fan-outs stay bitwise identical to the legacy path.
   std::vector<double> db2(n_base), da2(n_base);
+  const double n = static_cast<double>(n_base);
   for (std::size_t j = 0; j < d; ++j) {
-    // AB_j: A with column j replaced from B.
-    for (std::size_t i = 0; i < n_base; ++i) ab(i, j) = b(i, j);
-    Vector yab = model(ab);
+    const Vector& yab = outputs[j + 2];
     osprey::num::simd::sub_square(yb.data(), yab.data(), db2.data(), n_base);
     osprey::num::simd::sub_square(ya.data(), yab.data(), da2.data(), n_base);
     double s1_acc = 0.0;
@@ -64,14 +69,29 @@ SobolIndices saltelli_indices(const BatchModelFn& model,
       s1_acc += db2[i];
       st_acc += da2[i];
     }
-    double n = static_cast<double>(n_base);
-    // Jansen estimators.
     out.first_order[j] = (var_y - s1_acc / (2.0 * n)) / var_y;
     out.total_order[j] = st_acc / (2.0 * n) / var_y;
-    // Restore column j for the next dimension.
-    for (std::size_t i = 0; i < n_base; ++i) ab(i, j) = a(i, j);
   }
   return out;
+}
+
+SobolIndices saltelli_indices(const BatchModelFn& model,
+                              const std::vector<ParamRange>& ranges,
+                              std::size_t n_base) {
+  const SaltelliDesign design = saltelli_design(ranges, n_base);
+  const std::size_t d = ranges.size();
+  std::vector<Vector> outputs;
+  outputs.reserve(d + 2);
+  outputs.push_back(model(design.a));
+  outputs.push_back(model(design.b));
+  Matrix ab = design.a;
+  for (std::size_t j = 0; j < d; ++j) {
+    // AB_j: A with column j replaced from B, restored after the call.
+    for (std::size_t i = 0; i < n_base; ++i) ab(i, j) = design.b(i, j);
+    outputs.push_back(model(ab));
+    for (std::size_t i = 0; i < n_base; ++i) ab(i, j) = design.a(i, j);
+  }
+  return jansen_indices(outputs);
 }
 
 SobolIndices saltelli_indices(const ModelFn& model,

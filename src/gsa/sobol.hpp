@@ -31,8 +31,22 @@ struct SobolIndices {
   std::size_t evaluations = 0;
 };
 
-/// Saltelli design + Jansen estimators with `n_base` base samples from a
-/// Sobol' low-discrepancy sequence; cost = n_base * (d + 2) evaluations.
+/// Saltelli's base samples: A and B (n_base x d each) from one
+/// 2d-dimensional Sobol' low-discrepancy stream. The pick-freeze matrix
+/// AB_j is A with column j taken from B.
+struct SaltelliDesign {
+  Matrix a;
+  Matrix b;
+};
+SaltelliDesign saltelli_design(const std::vector<ParamRange>& ranges,
+                               std::size_t n_base);
+
+/// Jansen estimators from the model outputs on a Saltelli design, laid
+/// out as {f(A), f(B), f(AB_1), ..., f(AB_d)}: d + 2 vectors of n_base.
+SobolIndices jansen_indices(const std::vector<Vector>& outputs);
+
+/// saltelli_design + the model on A, B and every AB_j + jansen_indices;
+/// cost = n_base * (d + 2) evaluations.
 SobolIndices saltelli_indices(const BatchModelFn& model,
                               const std::vector<ParamRange>& ranges,
                               std::size_t n_base);

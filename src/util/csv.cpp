@@ -83,7 +83,8 @@ bool needs_quoting(std::string_view field) {
 }
 
 /// Parse one logical CSV record starting at `pos`; handles quoted fields
-/// containing commas/newlines. Returns false at end of input.
+/// containing commas/newlines. Returns false at end of input; a blank
+/// line parses as a record with no fields.
 bool parse_record(std::string_view text, std::size_t& pos,
                   std::vector<std::string>& fields) {
   fields.clear();
@@ -130,7 +131,7 @@ bool parse_record(std::string_view text, std::size_t& pos,
     }
   }
   OSPREY_REQUIRE(!in_quotes, "unterminated quoted CSV field");
-  if (!saw_any && cur.empty() && fields.empty()) return false;
+  if (!saw_any && cur.empty() && fields.empty()) return true;  // blank
   fields.push_back(cur);
   return true;
 }
@@ -199,11 +200,16 @@ std::string CsvTable::to_string() const {
 CsvTable CsvTable::parse(const std::string& text) {
   std::size_t pos = 0;
   std::vector<std::string> fields;
-  OSPREY_REQUIRE(parse_record(text, pos, fields), "empty CSV document");
+  // A blank line holds no record: skip it.
+  auto next_record = [&] {
+    while (parse_record(text, pos, fields)) {
+      if (!fields.empty()) return true;
+    }
+    return false;
+  };
+  OSPREY_REQUIRE(next_record(), "empty CSV document");
   CsvTable table(fields);
-  while (parse_record(text, pos, fields)) {
-    table.add_row(fields);
-  }
+  while (next_record()) table.add_row(fields);
   return table;
 }
 
@@ -221,7 +227,8 @@ std::vector<double> NumericCsv::column(const std::string& name) const {
 NumericCsv parse_numeric_csv(std::string_view text) {
   NumericCsv out;
   std::size_t pos = 0;
-  OSPREY_REQUIRE(parse_record(text, pos, out.header), "empty CSV document");
+  OSPREY_REQUIRE(parse_record(text, pos, out.header) && !out.header.empty(),
+                 "empty CSV document");
   const std::size_t cols = out.header.size();
   const char* p = text.data() + pos;
   const char* const end = text.data() + text.size();

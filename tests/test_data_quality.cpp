@@ -91,6 +91,22 @@ TEST(DataQuality, AllInvalidYieldsEmptyTable) {
   EXPECT_EQ(out.num_rows(), 0u);
 }
 
+TEST(DataQuality, FeedWithBlankLineKeepsEverySample) {
+  // An upstream feed with a stray blank line mid-file: every sample
+  // after it must still reach the analyses.
+  std::string csv = make_csv({100, 120, 95, 110, 105, 98});
+  std::size_t third_row = 0;
+  for (int line = 0; line < 4; ++line) third_row = csv.find('\n', third_row) + 1;
+  csv.insert(third_row, "\n");
+  Harnesses h;
+  Value result = transform(h, csv);
+  EXPECT_EQ(result.at("dropped").as_int(), 0);
+  ou::CsvTable out = ou::CsvTable::parse(result.at("output").as_string());
+  ASSERT_EQ(out.num_rows(), 6u);
+  EXPECT_EQ(out.column_doubles("day"),
+            (std::vector<double>{0, 1, 2, 3, 4, 5}));
+}
+
 namespace {
 
 Value aggregate(Harnesses& h, const std::string& bad_draws) {

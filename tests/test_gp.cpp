@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "num/cholesky.hpp"
 #include "num/sampling.hpp"
@@ -28,6 +30,50 @@ og::GaussianProcess fit_test_gp(std::size_t n, std::uint64_t seed = 1) {
   og::GaussianProcess gp;
   gp.fit(x, y);
   return gp;
+}
+
+/// A smooth response over d inputs in the unit cube.
+double smooth_nd(const on::Vector& u) {
+  double s = 0.0;
+  for (std::size_t j = 0; j < u.size(); ++j) {
+    s += std::sin(2.0 + 3.0 * static_cast<double>(j + 1) * u[j]);
+  }
+  return s + u[0] * u.back();
+}
+
+/// Runs `check` on an n-point, d-input GP after fit(), after a rank-1
+/// add_point() and after reoptimize() — the three states MUSIC predicts
+/// from — with the pool fan-out off and on.
+void for_each_gp_state(
+    std::size_t n, std::size_t d,
+    const std::function<void(const og::GaussianProcess&)>& check) {
+  for (bool parallel : {false, true}) {
+    og::GpConfig cfg;
+    cfg.mle_restarts = 0;
+    cfg.mle_max_iterations = 40;
+    cfg.parallel = parallel;
+    og::GaussianProcess gp(cfg);
+    on::RngStream rng(n * 10 + d);
+    on::Matrix x = on::latin_hypercube(n, d, rng);
+    on::Vector y(n);
+    for (std::size_t i = 0; i < n; ++i) y[i] = smooth_nd(x.row(i));
+    gp.fit(x, y);
+    check(gp);
+    on::Vector extra(d, 0.37);
+    gp.add_point(extra, smooth_nd(extra));
+    check(gp);
+    gp.reoptimize();
+    check(gp);
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bits(const on::Vector& a, const on::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 }  // namespace
@@ -118,6 +164,57 @@ TEST(Gp, PredictMeanBatchMatchesSingle) {
   on::Vector batch = gp.predict_mean(q);
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_NEAR(batch[i], gp.predict(q.row(i)).mean, 1e-9);
+  }
+}
+
+TEST(Gp, PickFreezeMatchesPredictMeanBitwise) {
+  // 1000 rows: the pooled path runs in row blocks with a partial last
+  // one (n = 2 stays under the fan-out threshold and runs serially).
+  for (std::size_t n : {2u, 25u, 97u}) {
+    for (std::size_t d : {1u, 5u}) {
+      on::RngStream rng(d);
+      on::Matrix a = on::latin_hypercube(1000, d, rng);
+      on::Matrix b = on::latin_hypercube(1000, d, rng);
+      for_each_gp_state(n, d, [&](const og::GaussianProcess& gp) {
+        std::vector<on::Vector> means = gp.predict_mean_pick_freeze(a, b);
+        ASSERT_EQ(means.size(), d + 2);
+        EXPECT_TRUE(same_bits(means[0], gp.predict_mean(a)))
+            << "A, n=" << n << " d=" << d;
+        EXPECT_TRUE(same_bits(means[1], gp.predict_mean(b)))
+            << "B, n=" << n << " d=" << d;
+        for (std::size_t j = 0; j < d; ++j) {
+          on::Matrix ab = a;
+          for (std::size_t r = 0; r < ab.rows(); ++r) ab(r, j) = b(r, j);
+          EXPECT_TRUE(same_bits(means[j + 2], gp.predict_mean(ab)))
+              << "AB_" << j << ", n=" << n << " d=" << d;
+        }
+      });
+    }
+  }
+}
+
+TEST(Gp, PredictBatchMatchesPredictBitwise) {
+  // Candidate counts around the 16-wide block: one short block, exactly
+  // one, one plus a lane, and the acquisition pool's 200 (partial last).
+  for (std::size_t n : {2u, 25u, 97u}) {
+    for (std::size_t d : {1u, 5u}) {
+      for_each_gp_state(n, d, [&](const og::GaussianProcess& gp) {
+        for (std::size_t count : {1u, 15u, 16u, 17u, 200u}) {
+          on::RngStream rng(count);
+          on::Matrix cand = on::latin_hypercube(count, d, rng);
+          std::vector<og::GpPrediction> batch = gp.predict_batch(cand);
+          ASSERT_EQ(batch.size(), count);
+          for (std::size_t c = 0; c < count; ++c) {
+            og::GpPrediction one = gp.predict(cand.row(c));
+            EXPECT_TRUE(same_bits(batch[c].mean, one.mean))
+                << "mean n=" << n << " d=" << d << " c=" << c << "/" << count;
+            EXPECT_TRUE(same_bits(batch[c].variance, one.variance))
+                << "variance n=" << n << " d=" << d << " c=" << c << "/"
+                << count;
+          }
+        }
+      });
+    }
   }
 }
 

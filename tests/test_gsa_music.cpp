@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "core/music_coop.hpp"
+#include "crypto/sha256.hpp"
 #include "emews/worker_pool.hpp"
 #include "util/error.hpp"
 
@@ -38,7 +41,84 @@ og::MusicConfig fast_config() {
   return cfg;
 }
 
+/// Five inputs, one inert (x1), with interactions — the shape of the
+/// MetaRVM QoI the paper's use case 2 screens, at analytic cost.
+double five_input_model(const on::Vector& x) {
+  return std::sin(x[0]) + 7.0 * std::sin(x[2]) * std::sin(x[2]) +
+         0.1 * std::pow(x[3], 4.0) * std::sin(x[0]) + 0.5 * x[4];
+}
+
+/// SHA-256 over the bytes of every trajectory S1/ST value, then the
+/// evaluated design and its responses: any bit that moves in the
+/// surrogate's predictions or the acquisition's choices moves this.
+std::string music_digest(std::uint64_t seed, bool parallel,
+                         og::Acquisition acquisition, std::size_t n_total) {
+  og::MusicConfig cfg;
+  cfg.ranges.assign(5, on::ParamRange{"x", -M_PI, M_PI});
+  cfg.n_total = n_total;
+  cfg.acquisition = acquisition;
+  cfg.gp.parallel = parallel;
+  cfg.seed = seed;
+  og::MusicResult r = og::run_music(cfg, og::ModelFn(five_input_model));
+  osprey::crypto::Sha256 h;
+  for (const og::MusicStep& step : r.trajectory) {
+    h.update(step.s1.data(), step.s1.size() * sizeof(double));
+    h.update(step.st.data(), step.st.size() * sizeof(double));
+  }
+  h.update(r.x_box.data().data(), r.x_box.data().size() * sizeof(double));
+  h.update(r.y.data(), r.y.size() * sizeof(double));
+  return h.hex_digest();
+}
+
 }  // namespace
+
+TEST(MusicEngine, GoldenTrajectoryDigest) {
+  // n_total = 60 covers the refits at n = 25 and n = 50 and the plain
+  // rank-1 advances between them; the serial and the pooled surrogate
+  // must give the same bits.
+  struct Golden {
+    std::uint64_t seed;
+    const char* sha256;
+  };
+  const Golden golden[] = {
+      {1,
+       "be5653943b2d5a7d87d33f1bbfc1e99a3776b29fdf80a82970ec2e1e18b1b4a8"},
+      {2,
+       "2491994d05ad37012985ebe11acd5dd58c79ccdba4720715c3f4e01fbbb6cd32"},
+      {3,
+       "a65236d1bceaf6fab3b345d5b6d6166cd293a468427e17da3848929078932d02"},
+  };
+  for (const Golden& g : golden) {
+    for (bool parallel : {false, true}) {
+      EXPECT_EQ(music_digest(g.seed, parallel, og::Acquisition::kEigf, 60),
+                g.sha256)
+          << "seed " << g.seed << " parallel " << parallel;
+    }
+  }
+}
+
+TEST(MusicEngine, GoldenAcquisitionDigests) {
+  // Every scored acquisition kind picks its points through the same
+  // batched prediction; pin each one's trajectory past the first refit.
+  struct Golden {
+    og::Acquisition acquisition;
+    const char* sha256;
+  };
+  const Golden golden[] = {
+      {og::Acquisition::kVariance,
+       "8a277f2b4db339bf8253d3ec6d3526b6c1a847c630c3039f28bde645c3fbe4f9"},
+      {og::Acquisition::kEi,
+       "2bd62d555d6386e1c89e93da68452ff033465678af7b4d47fe59b2a49f5059da"},
+      {og::Acquisition::kUcb,
+       "e54b10c1a5ed94e44869d62847c6c6c46d2f0b585cc11eb3eb56ab25c8aeb4d0"},
+      {og::Acquisition::kRandom,
+       "92b44759127b138f03517410f850c55dd834c55864adedda124cd31c883e5d36"},
+  };
+  for (const Golden& g : golden) {
+    EXPECT_EQ(music_digest(4, false, g.acquisition, 40), g.sha256)
+        << og::acquisition_name(g.acquisition);
+  }
+}
 
 TEST(MusicEngine, InitialDesignShapeAndRange) {
   og::MusicEngine engine(fast_config());

@@ -117,6 +117,37 @@ TEST(Saltelli, SubSquareKernelIsBitIdenticalToScalar) {
   }
 }
 
+TEST(Sobol, JansenSplitKeepsSaltelliBits) {
+  // Both overloads run design + model + Jansen; pin the Ishigami
+  // estimates bit for bit (hex-float literals) so a reordered
+  // accumulation or a changed design cannot slip through.
+  const double s1[] = {0x1.400565cdce19dp-2, 0x1.b458625345db8p-2,
+                       -0x1.8734350af35a9p-9};
+  const double st[] = {0x1.1dcfad1a6f682p-1, 0x1.c633339d80b97p-2,
+                       0x1.eff6713dace1bp-3};
+  const double var_y = 0x1.ba2b94998b78p+3;
+  og::BatchModelFn batch = [](const on::Matrix& x) {
+    on::Vector out(x.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i) out[i] = ishigami(x.row(i));
+    return out;
+  };
+  for (const og::SobolIndices& idx :
+       {og::saltelli_indices(batch, ishigami_ranges(), 1024),
+        og::saltelli_indices(og::ModelFn(ishigami), ishigami_ranges(),
+                             1024)}) {
+    ASSERT_EQ(idx.first_order.size(), 3u);
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(idx.first_order[j], s1[j])
+          << "S1[" << j << "] = " << std::hexfloat << idx.first_order[j];
+      EXPECT_EQ(idx.total_order[j], st[j])
+          << "ST[" << j << "] = " << std::hexfloat << idx.total_order[j];
+    }
+    EXPECT_EQ(idx.output_variance, var_y)
+        << "var = " << std::hexfloat << idx.output_variance;
+    EXPECT_EQ(idx.evaluations, 1024u * 5u);
+  }
+}
+
 TEST(Saltelli, InputValidation) {
   EXPECT_THROW(
       og::saltelli_indices(og::ModelFn(linear_model), {}, 128),

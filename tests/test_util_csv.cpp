@@ -76,6 +76,21 @@ TEST(Csv, CrLfLineEndings) {
   EXPECT_EQ(t.cell(0, "b"), "2");
 }
 
+TEST(Csv, BlankLinesAreSkippedNotTheEndOfTheDocument) {
+  const char* kTexts[] = {
+      "day,conc\n0,1.5\n\n1,2.5\n2,3.5\n",          // mid-file
+      "day,conc\r\n0,1.5\r\n\r\n1,2.5\r\n2,3.5\r\n",  // CRLF
+      "day,conc\n0,1.5\n1,2.5\n2,3.5\n\n\n",        // trailing
+  };
+  for (const char* text : kTexts) {
+    ou::CsvTable t = ou::CsvTable::parse(text);
+    ASSERT_EQ(t.num_rows(), 3u) << text;
+    EXPECT_EQ(t.column_doubles("conc"), (std::vector<double>{1.5, 2.5, 3.5}))
+        << text;
+  }
+  EXPECT_THROW(ou::CsvTable::parse("\n\n"), ou::InvalidArgument);
+}
+
 TEST(Csv, EmptyFieldsPreserved) {
   ou::CsvTable t = ou::CsvTable::parse("a,b,c\n1,,3\n");
   EXPECT_EQ(t.cell(0, "b"), "");
@@ -186,4 +201,7 @@ TEST(NumericCsv, StrictRejectsWhatStrtodWouldPassOrZero) {
     EXPECT_THROW(ou::parse_numeric_csv(bad), ou::InvalidArgument) << bad;
   }
   EXPECT_THROW(ou::parse_numeric_csv(""), ou::InvalidArgument);
+  EXPECT_THROW(ou::parse_numeric_csv("\nx,y\n1,2\n"), ou::InvalidArgument);
+  EXPECT_THROW(ou::parse_numeric_csv("x,y\n1,2\n\n3,4\n"),
+               ou::InvalidArgument);
 }
