@@ -15,6 +15,7 @@
 #include "epi/wastewater.hpp"
 #include "fabric/event_loop.hpp"
 #include "fabric/storage.hpp"
+#include "fabric/timer.hpp"
 #include "gp/gp.hpp"
 #include "gsa/sobol.hpp"
 #include "num/sampling.hpp"
@@ -59,6 +60,30 @@ static void BM_EventLoopDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventLoopDispatch);
+
+// The idle-poll path: a periodic timer re-arming on a loop with about
+// three pending events (the other timers), as an AERO poll that finds
+// no upstream change. Each iteration fires one event.
+static void BM_TimerIdleFire(benchmark::State& state) {
+  fabric::EventLoop loop;
+  fabric::AuthService auth;
+  fabric::TimerService timers(loop, auth);
+  obs::TraceRecorder tracer;
+  tracer.set_enabled(false);  // attached but off, as in a throughput run
+  timers.set_tracer(&tracer);
+  std::string token = auth.issue_full_token("bench");
+  std::uint64_t polls = 0;
+  for (int i = 0; i < 4; ++i) {
+    timers.every(4, i, [&polls] { ++polls; }, token,
+                 "poll:feed" + std::to_string(i));
+  }
+  for (auto _ : state) {
+    loop.run_until(loop.now() + 1);
+  }
+  benchmark::DoNotOptimize(polls);
+  state.SetItemsProcessed(static_cast<std::int64_t>(polls));
+}
+BENCHMARK(BM_TimerIdleFire);
 
 static void BM_TaskRoundTrip(benchmark::State& state) {
   emews::TaskDb db;

@@ -28,7 +28,8 @@
 #           recovery — must reproduce the published bytes. Then one
 #           traced `gsa` run: its four checks, and a synchronous MUSIC
 #           replay of replicate 0 that must reproduce the interleaved
-#           run's S1 bit for bit.
+#           run's S1 bit for bit. Then one traced `fleet` run: its
+#           crypto replay and the shard-count-invariant check.
 #   asan    address+undefined sanitizer build, full ctest suite.
 #   ubsan   standalone undefined-behavior sanitizer build, full ctest
 #           suite (catches UB that ASan's instrumentation masks).
@@ -156,7 +157,8 @@ stage_bench() {
   echo "bench artifact: results/BENCH_fig2_rt.json" &&
   python3 perfbench/run.py --self-test &&
   python3 perfbench/run.py --workload ww_rt --seed 1 --seconds 2 --trace 1 &&
-  python3 perfbench/run.py --workload gsa --seed 1 --seconds 2 --trace 1
+  python3 perfbench/run.py --workload gsa --seed 1 --seconds 2 --trace 1 &&
+  python3 perfbench/run.py --workload fleet --seed 1 --seconds 2 --trace 1
 }
 
 stage_asan() {

@@ -314,10 +314,10 @@ void AeroServer::poll_ingestion(std::size_t index) {
 
   updates_detected_->inc();
   ing.last_checksum = checksum;
-  if (tracer_ != nullptr) {
-    tracer_->instant(obs::Category::kAero, "update:" + ing.spec.name,
-                     obs::sim_ns(loop_.now()), obs::kNoSpan,
-                     "checksum " + checksum.substr(0, 12));
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    tracer->instant(obs::Category::kAero, "update:" + ing.spec.name,
+                    obs::sim_ns(loop_.now()), obs::kNoSpan,
+                    "checksum " + checksum.substr(0, 12));
   }
   OSPREY_LOG_INFO("aero", "update detected for '" << ing.spec.name << "' at "
                           << osprey::util::format_sim_time(loop_.now()));
@@ -363,13 +363,13 @@ void AeroServer::run_ingestion_flow(std::size_t index, std::string payload,
   ing.running = true;
   ing.current_payload = payload;  // kept in case the run must be retried
   ingestion_runs_->inc();
-  if (tracer_ != nullptr) {
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
     // Top-level span for the whole ingest run; the wrapped flow and its
     // steps (and their transfers/compute tasks) nest underneath.
-    ing.span = tracer_->begin_span(obs::Category::kAero,
-                                   "ingest:" + ing.spec.name,
-                                   obs::sim_ns(loop_.now()), obs::kNoSpan,
-                                   trigger);
+    ing.span = tracer->begin_span(obs::Category::kAero,
+                                  "ingest:" + ing.spec.name,
+                                  obs::sim_ns(loop_.now()), obs::kNoSpan,
+                                  trigger);
   }
 
   const IngestionFlowSpec& spec = ing.spec;
@@ -485,7 +485,7 @@ void AeroServer::run_ingestion_flow(std::size_t index, std::string payload,
                bool ok = rec.status == fabric::FlowRunStatus::kSucceeded;
                // Incidents recorded below correlate with this run's span.
                obs::CurrentSpanGuard run_guard(ing2.span);
-               if (tracer_ != nullptr) {
+               if (tracer_ != nullptr && ing2.span != obs::kNoSpan) {
                  std::string err;
                  for (const fabric::StepRecord& sr : rec.steps) {
                    if (!sr.ok && !sr.error.empty()) err = sr.error;
@@ -687,8 +687,8 @@ void AeroServer::run_analysis_flow(std::size_t index,
   Analysis& analysis = analyses_[index];
   analysis.running = true;
   analysis_runs_->inc();
-  if (tracer_ != nullptr) {
-    analysis.span = tracer_->begin_span(
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    analysis.span = tracer->begin_span(
         obs::Category::kAero, "analyze:" + analysis.spec.name,
         obs::sim_ns(loop_.now()), obs::kNoSpan, trigger);
   }
@@ -850,7 +850,7 @@ void AeroServer::run_analysis_flow(std::size_t index,
         bool ok = rec.status == fabric::FlowRunStatus::kSucceeded;
         // Incidents recorded below correlate with this run's span.
         obs::CurrentSpanGuard run_guard(a.span);
-        if (tracer_ != nullptr) {
+        if (tracer_ != nullptr && a.span != obs::kNoSpan) {
           std::string err;
           for (const fabric::StepRecord& sr : rec.steps) {
             if (!sr.ok && !sr.error.empty()) err = sr.error;
@@ -996,14 +996,14 @@ void AeroServer::record_incident(fabric::IncidentCategory category,
                                  const std::string& kind,
                                  const std::string& site,
                                  const std::string& detail) {
-  if (tracer_ != nullptr) {
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
     // The instant's parent is the in-flight run span (when recorded from
     // a run completion callback), correlating IncidentLog entries with
     // trace spans. IncidentLog itself is untouched: chaos replay tests
     // compare its rendered bytes.
-    tracer_->instant(obs::Category::kAero, "incident:" + kind,
-                     obs::sim_ns(loop_.now()), obs::kInheritParent,
-                     site + ": " + detail);
+    tracer->instant(obs::Category::kAero, "incident:" + kind,
+                    obs::sim_ns(loop_.now()), obs::kInheritParent,
+                    site + ": " + detail);
   }
   if (incidents_ == nullptr) return;
   incidents_->record(loop_.now(), category, kind, "aero", site, detail);

@@ -227,12 +227,12 @@ RecoveryStats Wal::recover(MetadataDb& db) {
   db_ = &db;
   db.set_wal_hook([this](const Value& record) { on_record(record); });
 
-  if (tracer_ != nullptr) {
-    tracer_->instant(obs::Category::kAero, "wal:recover", t0, obs::kNoSpan,
-                     "checkpoint_lsn=" + std::to_string(stats.checkpoint_lsn) +
-                         " replayed=" + std::to_string(stats.replayed) +
-                         " torn=" + std::to_string(stats.torn) +
-                         " corrupt=" + std::to_string(stats.corrupt));
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    tracer->instant(obs::Category::kAero, "wal:recover", t0, obs::kNoSpan,
+                    "checkpoint_lsn=" + std::to_string(stats.checkpoint_lsn) +
+                        " replayed=" + std::to_string(stats.replayed) +
+                        " torn=" + std::to_string(stats.torn) +
+                        " corrupt=" + std::to_string(stats.corrupt));
   }
   return stats;
 }
@@ -275,10 +275,10 @@ void Wal::write_checkpoint(std::uint64_t lsn) {
   current_segment_ = segment_path(lsn + 1);
   appends_since_checkpoint_ = 0;
   prune(lsn);
-  if (tracer_ != nullptr) {
-    tracer_->instant(obs::Category::kAero, "wal:checkpoint",
-                     now_ns_ ? now_ns_() : 0, obs::kNoSpan,
-                     "lsn=" + std::to_string(lsn));
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    tracer->instant(obs::Category::kAero, "wal:checkpoint",
+                    now_ns_ ? now_ns_() : 0, obs::kNoSpan,
+                    "lsn=" + std::to_string(lsn));
   }
 }
 

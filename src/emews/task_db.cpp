@@ -40,10 +40,10 @@ TaskId TaskDb::submit(const std::string& type, osprey::util::Value payload,
   rec.payload = std::move(payload);
   rec.priority = priority;
   rec.submitted_ns = clock_->now_ns();
-  if (tracer_ != nullptr) {
-    tracer_->instant(obs::Category::kEmews, "submit:" + type,
-                     rec.submitted_ns, obs::kNoSpan,
-                     "task " + std::to_string(id));
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    tracer->instant(obs::Category::kEmews, "submit:" + type,
+                    rec.submitted_ns, obs::kNoSpan,
+                    "task " + std::to_string(id));
   }
   tasks_.push_back(std::move(rec));
   queues_[type][priority].push_back(id);
@@ -64,8 +64,8 @@ std::optional<TaskId> TaskDb::claim_locked(const std::string& type,
   rec.status = TaskStatus::kRunning;
   rec.worker = worker;
   rec.started_ns = clock_->now_ns();
-  if (tracer_ != nullptr) {
-    rec.trace_span = tracer_->begin_span(
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    rec.trace_span = tracer->begin_span(
         obs::Category::kEmews, "task:" + rec.type, rec.started_ns,
         obs::kNoSpan, "task " + std::to_string(id) + " on " + worker);
   }

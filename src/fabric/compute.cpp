@@ -97,8 +97,8 @@ ComputeTaskId ComputeEndpoint::execute(const std::string& function_id,
   rec.endpoint = name_;
   rec.submitted = loop_.now();
   records_.push_back(rec);
-  if (tracer_ != nullptr) {
-    records_[id].trace_span = tracer_->begin_span(
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    records_[id].trace_span = tracer->begin_span(
         obs::Category::kCompute, "compute:" + records_[id].function_name,
         obs::sim_ns(rec.submitted), obs::kInheritParent,
         name_ + (kind_ == EndpointKind::kBatch ? " (batch)" : " (login)"));

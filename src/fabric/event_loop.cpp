@@ -1,5 +1,8 @@
 #include "fabric/event_loop.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/error.hpp"
 
 namespace osprey::fabric {
@@ -18,8 +21,9 @@ EventId EventLoop::schedule_at(SimTime t, Callback cb) {
   OSPREY_REQUIRE(t >= now_, "cannot schedule an event in the past");
   OSPREY_REQUIRE(static_cast<bool>(cb), "null event callback");
   EventId id = next_seq_++;
-  queue_.push(Entry{t, id});
-  callbacks_.emplace(id, std::move(cb));
+  heap_.push_back(Entry{t, id, std::move(cb)});
+  std::push_heap(heap_.begin(), heap_.end(), later);
+  ++live_;
   return id;
 }
 
@@ -31,7 +35,12 @@ EventId EventLoop::schedule_after(SimTime dt, Callback cb) {
 
 bool EventLoop::cancel(EventId id) {
   check_not_in_body("cancel");
-  return callbacks_.erase(id) > 0;
+  auto it = std::find_if(heap_.begin(), heap_.end(),
+                         [id](const Entry& e) { return e.seq == id; });
+  if (it == heap_.end() || !it->cb) return false;
+  it->cb = nullptr;  // leave a tombstone
+  --live_;
+  return true;
 }
 
 void EventLoop::set_metrics(obs::MetricsRegistry* metrics) {
@@ -43,41 +52,29 @@ void EventLoop::set_metrics(obs::MetricsRegistry* metrics) {
                                  "events fired by the virtual-time loop");
 }
 
-bool EventLoop::fire_next() {
-  while (!queue_.empty()) {
-    Entry entry = queue_.top();
-    auto it = callbacks_.find(entry.seq);
-    if (it == callbacks_.end()) {
-      queue_.pop();  // tombstone of a cancelled event
-      continue;
-    }
-    // Advance time, detach the callback, then run it (the callback may
-    // schedule or cancel other events, including itself re-arming).
-    queue_.pop();
-    now_ = entry.time;
-    Callback cb = std::move(it->second);
-    callbacks_.erase(it);
-    processed_->inc();
-    cb();
-    return true;
+bool EventLoop::fire_next(SimTime limit) {
+  while (!heap_.empty() && !heap_.front().cb) {  // cancelled events
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
   }
-  return false;
+  if (heap_.empty() || heap_.front().time > limit) return false;
+  // Advance time, detach the entry, then run it (the callback may
+  // schedule or cancel other events, including itself re-arming).
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  Entry entry = std::move(heap_.back());
+  heap_.pop_back();
+  --live_;
+  now_ = entry.time;
+  processed_->inc();
+  entry.cb();
+  return true;
 }
 
 std::size_t EventLoop::run_until(SimTime t) {
   check_not_in_body("run_until");
   OSPREY_REQUIRE(t >= now_, "run_until into the past");
   std::size_t fired = 0;
-  while (!queue_.empty()) {
-    // Peek past tombstones to find the next live event time.
-    Entry entry = queue_.top();
-    if (callbacks_.find(entry.seq) == callbacks_.end()) {
-      queue_.pop();
-      continue;
-    }
-    if (entry.time > t) break;
-    if (fire_next()) ++fired;
-  }
+  while (fire_next(t)) ++fired;
   now_ = t;
   return fired;
 }
@@ -85,7 +82,8 @@ std::size_t EventLoop::run_until(SimTime t) {
 std::size_t EventLoop::run_all(std::size_t max_events) {
   check_not_in_body("run_all");
   std::size_t fired = 0;
-  while (fired < max_events && fire_next()) {
+  while (fired < max_events &&
+         fire_next(std::numeric_limits<SimTime>::max())) {
     ++fired;
   }
   OSPREY_CHECK(fired < max_events, "event loop exceeded max_events cap");

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <queue>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -23,7 +21,8 @@ using osprey::util::SimTime;
 using EventId = std::uint64_t;
 
 /// Single-threaded priority-queue event loop over virtual time.
-/// Events at equal times fire in scheduling order (stable).
+/// Events at equal times fire in scheduling order (stable). Callbacks
+/// live in their heap entries (DESIGN.md §4j).
 ///
 /// Compute bodies (ComputeEndpoint) never touch the loop: they may run
 /// on another thread, and whatever they read or schedule would depend
@@ -56,8 +55,9 @@ class EventLoop {
   /// Schedule `cb` at now + dt.
   EventId schedule_after(SimTime dt, Callback cb);
 
-  /// Cancel a pending event; returns false if it already fired or is
-  /// unknown.
+  /// Cancel a pending event; returns false if it already fired, is
+  /// firing, was cancelled, or is unknown. Scans the heap: cancellation
+  /// is rare (a timer cancelled on flow pause or cancel).
   bool cancel(EventId id);
 
   /// Process all events with time <= t, then advance the clock to t.
@@ -68,8 +68,8 @@ class EventLoop {
   /// events; a safety cap guards against runaway self-scheduling loops).
   std::size_t run_all(std::size_t max_events = 10'000'000);
 
-  bool empty() const { return callbacks_.empty(); }
-  std::size_t pending() const { return callbacks_.size(); }
+  bool empty() const { return live_ == 0; }
+  std::size_t pending() const { return live_; }
   std::uint64_t events_processed() const { return processed_->value(); }
 
   /// Bind the processed-events counter to `metrics` (non-owning;
@@ -80,11 +80,12 @@ class EventLoop {
   struct Entry {
     SimTime time;
     std::uint64_t seq;  // doubles as the EventId
-    bool operator>(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
+    Callback cb;        // empty: cancelled (a tombstone)
   };
+  static bool later(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
 
   static inline thread_local bool t_in_body = false;
   static void check_not_in_body(const char* call) {
@@ -98,14 +99,14 @@ class EventLoop {
   // set_metrics binds a registry, so events_processed() works unwired.
   obs::Counter own_processed_;
   obs::Counter* processed_ = &own_processed_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  // Live callbacks; cancellation erases the entry, leaving a tombstone in
-  // the priority queue that fire_next() skips.
-  std::map<EventId, Callback> callbacks_;
+  // Binary min-heap on (time, seq). cancel() empties an entry's
+  // callback in place; the tombstone is dropped when it reaches the top.
+  std::vector<Entry> heap_;
+  std::size_t live_ = 0;  // entries with a callback
 
-  /// Pop queue entries until one is live and run it; returns false when
-  /// nothing is live.
-  bool fire_next();
+  /// Drop tombstones off the top, then run the earliest live event if
+  /// it is due at or before `limit`; returns false when none is.
+  bool fire_next(SimTime limit);
 };
 
 }  // namespace osprey::fabric

@@ -30,8 +30,8 @@ FlowRunId FlowsService::run(const FlowDefinition& flow,
   rec.flow_name = flow.name;
   rec.started = loop_.now();
   records_.push_back(rec);
-  if (tracer_ != nullptr) {
-    records_[id].trace_span = tracer_->begin_span(
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    records_[id].trace_span = tracer->begin_span(
         obs::Category::kFlow, "flow:" + flow.name, obs::sim_ns(rec.started));
   }
 
@@ -55,8 +55,8 @@ void FlowsService::advance(std::shared_ptr<ActiveRun> run) {
   const FlowStep& step = run->flow.steps[step_index];
   rec.steps.push_back(
       StepRecord{step.name, loop_.now(), -1, false, "", obs::kNoSpan});
-  if (tracer_ != nullptr) {
-    rec.steps.back().trace_span = tracer_->begin_span(
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    rec.steps.back().trace_span = tracer->begin_span(
         obs::Category::kFlow, "step:" + step.name, obs::sim_ns(loop_.now()),
         rec.trace_span, rec.flow_name);
   }

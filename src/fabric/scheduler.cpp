@@ -50,8 +50,8 @@ JobId BatchScheduler::submit(JobSpec spec) {
   rec.nodes = spec.nodes;
   rec.submitted = loop_.now();
   records_.push_back(rec);
-  if (tracer_ != nullptr) {
-    records_[id].trace_span = tracer_->begin_span(
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    records_[id].trace_span = tracer->begin_span(
         obs::Category::kCompute, "job:" + records_[id].name,
         obs::sim_ns(rec.submitted), obs::kInheritParent,
         name_ + ", " + std::to_string(rec.nodes) + " node(s)");

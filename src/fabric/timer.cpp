@@ -31,20 +31,21 @@ TimerId TimerService::every(SimTime period, SimTime first_at,
 }
 
 void TimerService::arm(TimerId id, SimTime at) {
-  Timer& timer = timers_.at(id);
-  timer.pending_event = loop_.schedule_at(at, [this, id, at] {
+  // Only {this, id} is captured, which fits std::function's inline
+  // buffer, so re-arming allocates nothing; the firing time is now().
+  timers_.at(id).pending_event = loop_.schedule_at(at, [this, id] {
     auto it = timers_.find(id);
     if (it == timers_.end()) return;  // cancelled meanwhile
     fires_->inc();
-    if (tracer_ != nullptr) {
-      tracer_->instant(
+    if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+      tracer->instant(
           obs::Category::kFlow,
           "timer:" + (it->second.name.empty() ? std::to_string(id)
                                               : it->second.name),
           obs::sim_ns(loop_.now()), obs::kNoSpan);
     }
     // Re-arm before invoking so the callback may cancel the timer.
-    SimTime next = at + it->second.period;
+    SimTime next = loop_.now() + it->second.period;
     std::function<void()> fn = it->second.fn;  // copy: cancel() may erase
     arm(id, next);
     fn();

@@ -31,8 +31,8 @@ class TimerService {
   /// Cancel; returns false for unknown/finished timers.
   bool cancel(TimerId id);
 
-  /// Attach a trace recorder (non-owning; nullptr detaches). Every
-  /// firing becomes an instant event ("timer:<name>").
+  /// Attach a trace recorder (non-owning; nullptr detaches). While it
+  /// is enabled, every firing becomes an instant event ("timer:<name>").
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
   /// Bind the fires counter to `metrics` (non-owning; nullptr reverts

@@ -132,8 +132,8 @@ TransferId TransferService::transfer(
   rec.bytes = bytes.size();
   rec.checksum = checksum;
   records_.push_back(rec);
-  if (tracer_ != nullptr) {
-    records_[id].trace_span = tracer_->begin_span(
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    records_[id].trace_span = tracer->begin_span(
         obs::Category::kTransfer,
         "transfer:" + rec.src_endpoint + "->" + rec.dst_endpoint,
         obs::sim_ns(rec.submitted), obs::kInheritParent,

@@ -154,6 +154,13 @@ class TraceRecorder {
   std::atomic<const osprey::util::Clock*> wall_{nullptr};
 };
 
+/// `tracer` when it is non-null and enabled, else nullptr. begin_span
+/// and instant call sites test it first, so with tracing off no name or
+/// detail string is built (a skipped span stays kNoSpan; DESIGN.md §4j).
+inline TraceRecorder* active(TraceRecorder* tracer) {
+  return tracer != nullptr && tracer->enabled() ? tracer : nullptr;
+}
+
 /// RAII: makes `span` the calling thread's current span; restores the
 /// previous one on destruction. Does NOT end the span (spans of the
 /// simulated fabric end later in virtual time). kNoSpan is allowed and

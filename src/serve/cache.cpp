@@ -60,7 +60,7 @@ void ResultCache::rebind(aero::AeroServer& server, std::string shard) {
   rebind(server);
 }
 
-ResultCache::Result ResultCache::lookup(const std::string& uuid) {
+ResultCache::Result ResultCache::lookup(std::string_view uuid) {
   auto it = entries_.find(uuid);
   // A hit requires the entry to carry the cache's CURRENT shard
   // qualifier; an entry fetched under a previous qualifier is as
@@ -72,8 +72,9 @@ ResultCache::Result ResultCache::lookup(const std::string& uuid) {
   CacheOutcome outcome =
       it == entries_.end() ? CacheOutcome::kMiss : CacheOutcome::kRevalidate;
   (outcome == CacheOutcome::kMiss ? misses_ : revalidates_)->inc();
-  Entry& entry = entries_[uuid];
-  entry.estimate = fetch_origin(uuid);
+  if (it == entries_.end()) it = entries_.emplace(uuid, Entry{}).first;
+  Entry& entry = it->second;
+  entry.estimate = fetch_origin(it->first);
   entry.valid = true;
   entry.shard = shard_;
   return Result{outcome, entry.estimate, shard_};

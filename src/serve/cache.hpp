@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "aero/server.hpp"
 #include "obs/metrics.hpp"
@@ -66,7 +67,7 @@ class ResultCache {
   /// Serve `uuid` from cache, fetching from the origin on miss or
   /// revalidate. The returned estimate carries AERO's staleness signal
   /// verbatim (reason empty iff fresh).
-  Result lookup(const std::string& uuid);
+  Result lookup(std::string_view uuid);
 
   /// Mark `uuid`'s entry for revalidation (no-op when absent or already
   /// invalid). Wired to AeroServer's update listener; public so tests
@@ -106,7 +107,7 @@ class ResultCache {
   aero::AeroServer* server_ = nullptr;  // null while detached
   std::uint64_t listener_id_ = 0;
   std::string shard_;
-  std::map<std::string, Entry> entries_;
+  std::map<std::string, Entry, std::less<>> entries_;  // find by view
 
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;

@@ -65,9 +65,9 @@ void FrontEnd::submit(ServeRequest request, Callback done) {
     // Overload: refuse honestly and immediately. The queue bound keeps
     // tail latency finite; shed traffic is the pressure signal.
     shed_->inc();
-    if (tracer_ != nullptr) {
-      tracer_->instant(obs::Category::kServe, "shed:" + request.uuid,
-                       obs::sim_ns(now), obs::kNoSpan, request.tenant);
+    if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+      tracer->instant(obs::Category::kServe, "shed:" + request.uuid,
+                      obs::sim_ns(now), obs::kNoSpan, request.tenant);
     }
     ServeResponse resp;
     resp.outcome = ServeOutcome::kShed;
@@ -100,8 +100,8 @@ void FrontEnd::pump() {
   }
 
   obs::SpanId span = obs::kNoSpan;
-  if (tracer_ != nullptr) {
-    span = tracer_->begin_span(
+  if (obs::TraceRecorder* tracer = obs::active(tracer_)) {
+    span = tracer->begin_span(
         obs::Category::kServe, "serve:" + q.request.uuid,
         obs::sim_ns(loop_.now()), obs::kNoSpan,
         q.request.tenant + " " + serve_outcome_name(outcome));

@@ -118,17 +118,18 @@ void ShardedFabric::step_epoch(SimTime until) {
   ++tick_;
 }
 
-ShardPartition& ShardedFabric::partition(const std::string& key) {
+ShardPartition& ShardedFabric::partition(std::string_view key) {
   auto it = by_key_.find(key);
-  OSPREY_REQUIRE(it != by_key_.end(), "unknown partition: " + key);
+  OSPREY_REQUIRE(it != by_key_.end(), "unknown partition: " + std::string(key));
   return *partitions_[it->second];
 }
 
 serve::ResultCache::Result ShardedFabric::lookup(
-    const std::string& qualified_uuid) {
+    std::string_view qualified_uuid) {
   std::size_t slash = qualified_uuid.find('/');
-  OSPREY_REQUIRE(slash != std::string::npos,
-                 "expected '<partition>/<uuid>': " + qualified_uuid);
+  OSPREY_REQUIRE(slash != std::string_view::npos,
+                 "expected '<partition>/<uuid>': " +
+                     std::string(qualified_uuid));
   return partition(qualified_uuid.substr(0, slash))
       .lookup(qualified_uuid.substr(slash + 1));
 }

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fabric/fault.hpp"
@@ -83,11 +84,11 @@ class ShardedFabric {
   std::uint64_t epochs() const { return tick_ - 1; }
 
   /// Serve a shard-qualified object: "<partition-key>/<uuid>".
-  serve::ResultCache::Result lookup(const std::string& qualified_uuid);
+  serve::ResultCache::Result lookup(std::string_view qualified_uuid);
 
   std::size_t num_partitions() const { return partitions_.size(); }
   const std::vector<std::string>& partition_keys() const { return keys_; }
-  ShardPartition& partition(const std::string& key);
+  ShardPartition& partition(std::string_view key);
   Coordinator& coordinator() { return coordinator_; }
   const Coordinator& coordinator() const { return coordinator_; }
 
@@ -112,7 +113,7 @@ class ShardedFabric {
   Coordinator coordinator_;
   std::vector<std::unique_ptr<ShardPartition>> partitions_;  // ordinal order
   std::vector<std::string> keys_;                            // parallel
-  std::map<std::string, std::size_t> by_key_;
+  std::map<std::string, std::size_t, std::less<>> by_key_;  // find by view
   /// shard -> its partitions' indexes, each in ordinal order.
   std::vector<std::vector<std::size_t>> shard_members_;
   std::unique_ptr<fabric::FaultPlan> master_chaos_;

@@ -241,7 +241,7 @@ void ShardPartition::run_epoch(std::uint64_t tick, SimTime until) {
 
 std::vector<Envelope> ShardPartition::collect() { return outbox_.drain(); }
 
-serve::ResultCache::Result ShardPartition::lookup(const std::string& uuid) {
+serve::ResultCache::Result ShardPartition::lookup(std::string_view uuid) {
   return cache_->lookup(uuid);
 }
 

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aero/server.hpp"
@@ -102,7 +103,7 @@ class ShardPartition {
   std::vector<Envelope> collect();
 
   /// Serve a data object through the partition's cache tier.
-  serve::ResultCache::Result lookup(const std::string& uuid);
+  serve::ResultCache::Result lookup(std::string_view uuid);
 
   /// Uuids of the flows hosted for one feed.
   struct FeedInfo {

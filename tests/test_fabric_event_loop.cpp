@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <queue>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace of = osprey::fabric;
 using osprey::util::kDay;
@@ -105,4 +112,153 @@ TEST(EventLoop, ProcessedCounter) {
   for (int i = 0; i < 7; ++i) loop.schedule_at(i * kSecond, [] {});
   loop.run_all();
   EXPECT_EQ(loop.events_processed(), 7u);
+}
+
+namespace {
+
+// Oracle for the differential test below: the earlier loop, with its
+// callbacks in a std::map side table and a priority queue of
+// (time, seq) keys whose cancelled entries are skipped as tombstones.
+class ReferenceLoop {
+ public:
+  of::SimTime now() const { return now_; }
+  std::size_t pending() const { return callbacks_.size(); }
+
+  of::EventId schedule_at(of::SimTime t, std::function<void()> cb) {
+    of::EventId id = next_seq_++;
+    queue_.push(Entry{t, id});
+    callbacks_.emplace(id, std::move(cb));
+    return id;
+  }
+  of::EventId schedule_after(of::SimTime dt, std::function<void()> cb) {
+    return schedule_at(now_ + dt, std::move(cb));
+  }
+  bool cancel(of::EventId id) { return callbacks_.erase(id) > 0; }
+
+  std::size_t run_until(of::SimTime t) {
+    std::size_t fired = 0;
+    while (!queue_.empty()) {
+      Entry entry = queue_.top();
+      if (callbacks_.find(entry.seq) == callbacks_.end()) {
+        queue_.pop();
+        continue;
+      }
+      if (entry.time > t) break;
+      if (fire_next()) ++fired;
+    }
+    now_ = t;
+    return fired;
+  }
+  std::size_t run_all() {
+    std::size_t fired = 0;
+    while (fire_next()) ++fired;
+    return fired;
+  }
+
+ private:
+  struct Entry {
+    of::SimTime time;
+    std::uint64_t seq;
+    bool operator>(const Entry& other) const {
+      if (time != other.time) return time > other.time;
+      return seq > other.seq;
+    }
+  };
+  bool fire_next() {
+    while (!queue_.empty()) {
+      Entry entry = queue_.top();
+      auto it = callbacks_.find(entry.seq);
+      queue_.pop();
+      if (it == callbacks_.end()) continue;
+      now_ = entry.time;
+      std::function<void()> cb = std::move(it->second);
+      callbacks_.erase(it);
+      cb();
+      return true;
+    }
+    return false;
+  }
+
+  of::SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
+  std::map<of::EventId, std::function<void()>> callbacks_;
+};
+
+// Drives `loop` through `ops` random operations and returns a log of
+// everything observable: firing order and times, pending() after each
+// step, and every cancel/run_until return value. Every random choice is
+// a function of (seed, op index) or of the firing event's id, so two
+// loops with the same semantics produce the same log.
+template <typename Loop>
+std::vector<std::uint64_t> drive(Loop& loop, std::uint64_t seed, int ops) {
+  using osprey::util::mix64;
+  std::vector<std::uint64_t> log;
+  std::uint64_t issued = 0;  // ids handed out so far
+  std::function<void(of::EventId)> on_fire = [&](of::EventId id) {
+    log.push_back(std::uint64_t{0xF1} << 56 | id);  // tags a firing
+    log.push_back(static_cast<std::uint64_t>(loop.now()));
+    log.push_back(loop.pending());
+    const std::uint64_t h = mix64(seed ^ (id << 20));
+    if (h % 4 == 0) {  // a child event, possibly at the same time
+      const of::EventId child = issued++;
+      EXPECT_EQ(loop.schedule_after(static_cast<of::SimTime>((h >> 8) % 3),
+                                    [&, child] { on_fire(child); }),
+                child);
+    }
+    if (h % 5 == 0) {  // cancel anything: pending, fired, itself, unknown
+      log.push_back(loop.cancel((h >> 16) % (issued + 2)));
+    }
+  };
+  for (int op = 0; op < ops; ++op) {
+    const std::uint64_t r = mix64(seed + static_cast<std::uint64_t>(op));
+    const std::uint64_t kind = r % 20;
+    const std::uint64_t arg = r >> 8;
+    if (kind < 9) {  // schedule, often at a time already in the heap
+      const of::EventId id = issued++;
+      const of::SimTime at = loop.now() + static_cast<of::SimTime>(arg % 4);
+      EXPECT_EQ(loop.schedule_at(at, [&, id] { on_fire(id); }), id);
+    } else if (kind < 13) {  // cancel anything, unknown ids included
+      log.push_back(loop.cancel(arg % (issued + 2)));
+    } else if (kind == 13) {  // double cancel
+      log.push_back(loop.cancel(arg % (issued + 1)));
+      log.push_back(loop.cancel(arg % (issued + 1)));
+    } else {
+      log.push_back(
+          loop.run_until(loop.now() + static_cast<of::SimTime>(arg % 3)));
+    }
+    log.push_back(loop.pending());
+  }
+  log.push_back(loop.run_all());
+  log.push_back(loop.pending());
+  return log;
+}
+
+}  // namespace
+
+TEST(EventLoop, MatchesMapAndPriorityQueueReference) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    of::EventLoop loop;
+    ReferenceLoop reference;
+    std::vector<std::uint64_t> got = drive(loop, seed, 10'000);
+    std::vector<std::uint64_t> want = drive(reference, seed, 10'000);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " log entry " << i;
+    }
+    EXPECT_EQ(loop.now(), reference.now());
+    EXPECT_TRUE(loop.empty());
+    EXPECT_GT(loop.events_processed(), 5000u);  // the ops mostly fire
+  }
+}
+
+TEST(EventLoop, CancelOfFiringOrFiredEventReturnsFalse) {
+  of::EventLoop loop;
+  of::EventId self = 0;
+  bool cancelled_self = true;
+  self = loop.schedule_at(kSecond, [&] { cancelled_self = loop.cancel(self); });
+  loop.run_all();
+  EXPECT_FALSE(cancelled_self);
+  EXPECT_FALSE(loop.cancel(self));
+  EXPECT_FALSE(loop.cancel(self + 100));  // never issued
 }

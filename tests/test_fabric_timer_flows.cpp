@@ -2,6 +2,7 @@
 
 #include "fabric/flows.hpp"
 #include "fabric/timer.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace of = osprey::fabric;
@@ -53,6 +54,58 @@ TEST_F(TimerFlowsTest, TimerCanCancelItself) {
   loop.run_until(10 * kHour);
   EXPECT_EQ(count, 2);
   EXPECT_EQ(timers.active_count(), 0u);
+}
+
+TEST_F(TimerFlowsTest, TimerCanCancelAnotherDueAtTheSameTime) {
+  std::vector<std::string> fired;
+  std::vector<bool> cancels;
+  of::TimerId victim = 0;
+  timers.every(kHour, kHour,
+               [&] {
+                 fired.push_back("killer");
+                 cancels.push_back(timers.cancel(victim));
+               },
+               token);
+  victim = timers.every(kHour, kHour, [&] { fired.push_back("victim"); },
+                        token);
+  // An earlier-armed timer due at the same instant cancels a later one
+  // before it fires; a third timer is untouched.
+  int bystander = 0;
+  timers.every(kHour, kHour, [&] { ++bystander; }, token);
+  loop.run_until(3 * kHour);
+  EXPECT_EQ(fired, (std::vector<std::string>{"killer", "killer", "killer"}));
+  EXPECT_EQ(cancels, (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(bystander, 3);
+  EXPECT_EQ(timers.active_count(), 2u);
+  EXPECT_EQ(loop.pending(), 2u);  // the two survivors' next firings
+}
+
+TEST_F(TimerFlowsTest, TimerInstantsOnlyWhileTracing) {
+  osprey::obs::TraceRecorder tracer;
+  timers.set_tracer(&tracer);
+  timers.every(kDay, 0, [] {}, token, "daily");
+  timers.every(kDay, kHour, [] {}, token);  // unnamed: labelled by id
+  loop.run_until(kDay + kHour);
+  std::vector<osprey::obs::SpanRecord> spans = tracer.snapshot();
+  const std::vector<std::pair<std::string, of::SimTime>> want = {
+      {"timer:daily", 0},
+      {"timer:1", kHour},
+      {"timer:daily", kDay},
+      {"timer:1", kDay + kHour}};
+  ASSERT_EQ(spans.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(spans[i].name, want[i].first);
+    EXPECT_EQ(spans[i].begin_ns, osprey::obs::sim_ns(want[i].second));
+    EXPECT_EQ(spans[i].category, osprey::obs::Category::kFlow);
+    EXPECT_EQ(spans[i].parent, osprey::obs::kNoSpan);
+    EXPECT_TRUE(spans[i].instant);
+    EXPECT_TRUE(spans[i].detail.empty());
+  }
+
+  tracer.set_enabled(false);
+  loop.run_until(3 * kDay + kHour);
+  EXPECT_EQ(tracer.span_count(), want.size());
+  EXPECT_EQ(timers.total_fires(), 8u);  // the timers kept firing
 }
 
 TEST_F(TimerFlowsTest, TimerRequiresScope) {

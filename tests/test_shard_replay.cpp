@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/usecase_shard.hpp"
+#include "crypto/sha256.hpp"
 #include "fabric/fault.hpp"
 #include "shard/fabric.hpp"
 #include "util/sim_time.hpp"
@@ -91,3 +92,29 @@ TEST_P(ShardReplayTest, ByteIdenticalAcrossShardCountsAndReruns) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardReplayTest,
                          ::testing::Range(std::uint64_t{0}, std::uint64_t{16}));
+
+TEST(ShardReplay, GoldenMergedArtifactDigests) {
+  // The sweep above only compares runs with each other, so an ordering
+  // change that every run shares would pass it. These digests pin one
+  // traced chaos campaign (3 shards, 40 feeds, 21 days); they were
+  // recorded before the event loop kept its callbacks in the heap.
+  sh::ShardedFabricConfig config;
+  config.num_shards = 3;
+  config.seed = 0x5EED0000 + 5;
+  sh::ShardedFabric fabric(config);
+  fabric.set_chaos(chaos_for(5));
+  fabric.register_campaign(
+      osprey::core::make_surveillance_campaign("golden", 40, 21));
+  fabric.run_until(21 * kDay);
+  const std::string incidents = fabric.merged_incident_log();
+  ASSERT_NE(incidents.find("[fault]"), std::string::npos);
+  using osprey::crypto::Sha256;
+  EXPECT_EQ(Sha256::hash_hex(fabric.merged_chrome_trace()),
+            "6d25e7b5496e864636ab43398416ef9f2d2f1d70b865041ec583f4c9629541ac");
+  EXPECT_EQ(Sha256::hash_hex(incidents),
+            "470087c21f99ffd7524102dc25d640d0489869e47aec84e6590fd8d8a0658296");
+  EXPECT_EQ(Sha256::hash_hex(fabric.merged_prometheus()),
+            "e657e2f9d16ec6a51e9cb0ab68f7ceb848c4b321a1eaa104ed268d0efd2d2c14");
+  EXPECT_EQ(Sha256::hash_hex(fabric.merged_metrics().to_json()),
+            "b6014cde498d17c89e38c8a0f91bd5e2a874239330ce6bbdacba1010bd9f668c");
+}
